@@ -38,10 +38,17 @@ at a time.  The per-scheme batching arguments:
   no-ops, so the whole run commits unconditionally.
 * **CoMeT** splits rows into the exact-count RAT and the sketch.  RAT
   entries batch exactly like TWiCe's (truncate before the first entry
-  that would reach the threshold); any *non*-RAT row must run the
-  sketch's hashed update and threshold test, so the batch truncates at
-  its first occurrence and replays it scalar.  Hammered rows live in
-  the RAT after their first trigger, which is where batching pays.
+  that would reach the threshold).  Each distinct *non*-RAT row is
+  hashed once with the sketch's own formula; while no two of the
+  batch's sketch rows share a cell in any hash row, only the row itself
+  touches its cells, so after ``k`` occurrences its estimate is exactly
+  its pre-batch ``min`` plus ``k``.  Such a row then batches like a RAT
+  row against ``T - estimate``, and the commit is one indexed ``+=``
+  on the counter table.  Rows are admitted in first-occurrence order
+  and the batch truncates at the first occurrence of a row whose cell,
+  at any depth, collides with an earlier one; promotions (and the RAT
+  evictions they cause) are threshold crossings, so they replay
+  scalar.
 * **ABACuS** shares one table across banks (``cross_bank = True`` --
   the dispatcher never shards it, but runs it through the vectorized
   cross-bank lane: long same-bank runs use ``commit_run``,
@@ -406,14 +413,19 @@ class FastRefreshRateKernel(_WrappedKernel):
 
 
 class FastCometKernel(_WrappedKernel):
-    """Batched RAT updates; sketch-path rows replay scalar.
+    """Batched RAT and count-min sketch updates.
 
     Between events every RAT entry sits strictly below the threshold
-    (triggers re-arm to zero), so the batch commits per-row occurrence
-    counts up to (not including) the first event that would reach the
-    threshold -- and truncates at the first occurrence of any row
-    *outside* the RAT, whose hashed sketch update and promotion test
-    run scalar on the real state.
+    (triggers re-arm to zero).  A sketch-path row's estimate after
+    ``k`` batch occurrences is ``min_d table[d, cell_d] + k`` as long as
+    no other sketch row of the batch shares one of its cells, so the
+    batch truncates at the first occurrence of a row that collides (at
+    any depth) with an earlier-admitted one.  Every remaining row needs
+    ``max(T - count, 1)`` occurrences to trigger, where ``count`` is its
+    RAT count or sketch estimate; the batch commits per-row occurrence
+    counts up to (not including) the first event that would reach it.
+    Triggers, promotions and RAT evictions replay scalar on the real
+    state.
     """
 
     def __init__(self, mitigation: CoMeTMitigation) -> None:
@@ -428,6 +440,7 @@ class FastCometKernel(_WrappedKernel):
     ) -> tuple[int, list[RefreshDirective]]:
         m: CoMeTMitigation = self.mitigation
         rat = m.rat
+        sketch = m.sketch
         extent = len(rows)
         uniq, first_pos, inverse = np.unique(
             rows, return_index=True, return_inverse=True
@@ -437,20 +450,42 @@ class FastCometKernel(_WrappedKernel):
             dtype=np.bool_,
             count=len(uniq),
         )
-        if not present.all():
-            # A sketch-path row: everything before its first occurrence
-            # is pure RAT arithmetic; the miss itself replays scalar.
-            extent = int(first_pos[~present].min())
-            if extent == 0:
-                return 0, []
-            inverse = inverse[:extent]
+        # Pre-batch counter per distinct row: the exact RAT count, or
+        # the sketch estimate for sketch-path rows.
         counts = np.fromiter(
             (rat[int(u)] if present[i] else 0 for i, u in enumerate(uniq)),
             dtype=np.int64,
             count=len(uniq),
         )
-        # Invariant: counts < threshold between events; clamp so a
-        # violated invariant truncates instead of mis-indexing.
+        # Sketch-path rows, hashed once each in first-occurrence order
+        # with the sketch's own formula (``hash(int) == int``).
+        order = np.flatnonzero(~present)
+        order = order[np.argsort(first_pos[order], kind="stable")]
+        keys = uniq[order] & 0x7FFFFFFF
+        cells = (
+            (sketch._a[:, None] * keys + sketch._b[:, None]) % sketch._prime
+        ) % sketch.width
+        # Cut before the first sketch row sharing a cell (at any depth)
+        # with an earlier one: while the admitted rows' cells are
+        # disjoint, each row's estimate is its own ``min + k``.
+        depth_ix = np.arange(sketch.depth)
+        flat = (cells + (depth_ix * sketch.width)[:, None]).T.ravel()
+        # A stable sort lists each cell's holders in admission order, so
+        # the repeats after the first are exactly the clashing entries.
+        ranked = np.argsort(flat, kind="stable")
+        repeat = flat[ranked[1:]] == flat[ranked[:-1]]
+        if repeat.any():
+            admitted = int(ranked[1:][repeat].min()) // sketch.depth
+            extent = int(first_pos[order[admitted]])
+            if extent == 0:
+                return 0, []
+            inverse = inverse[:extent]
+            order = order[:admitted]
+            cells = cells[:, :admitted]
+        counts[order] = sketch._table[depth_ix[:, None], cells].min(axis=0)
+        # Invariant: RAT counts < threshold between events; a sketch
+        # estimate may already reach it (evicted or collided rows), so
+        # the clamp makes such a row cut at its first occurrence.
         needed = np.maximum(m.threshold - counts, 1)
         occurrences = np.bincount(inverse, minlength=len(uniq))
         crossing = occurrences >= needed
@@ -467,8 +502,11 @@ class FastCometKernel(_WrappedKernel):
             occurrences = np.bincount(
                 inverse[:extent], minlength=len(uniq)
             )
-        for u in np.flatnonzero(occurrences):
+        for u in np.flatnonzero(occurrences * present):
             rat[int(uniq[u])] += int(occurrences[u])
+        sketched = occurrences[order]
+        sketch._table[depth_ix[:, None], cells] += sketched
+        sketch.observations += int(sketched.sum())
         self.stats.activations += extent
         return extent, []
 
@@ -476,6 +514,7 @@ class FastCometKernel(_WrappedKernel):
         m: CoMeTMitigation = self.mitigation
         return (
             m.sketch._table.copy(),
+            m.sketch.observations,
             dict(m.rat),
             m.current_window,
             copy.copy(m.cstats),
@@ -484,7 +523,10 @@ class FastCometKernel(_WrappedKernel):
 
     def restore(self, state: Any) -> None:
         m: CoMeTMitigation = self.mitigation
-        table, rat, m.current_window, cstats, stats = state
+        (
+            table, m.sketch.observations, rat, m.current_window, cstats,
+            stats,
+        ) = state
         m.sketch._table[:] = table
         m.rat = dict(rat)
         m.cstats.__dict__.update(cstats.__dict__)
@@ -822,12 +864,15 @@ def reference_state(engine: Any) -> dict[str, Any]:
         return {
             # bytes for exact, hashable array comparison
             "sketch": engine.sketch._table.tobytes(),
+            "observations": engine.sketch.observations,
             "rat": dict(engine.rat),
             "window": engine.current_window,
             "resets": engine.cstats.window_resets,
             "sketch_triggers": engine.cstats.sketch_triggers,
             "rat_triggers": engine.cstats.rat_triggers,
             "evictions": engine.cstats.rat_evictions,
+            "insertions": engine.cstats.rat_insertions,
+            "tracked_peak": engine.cstats.tracked_peak,
         }
     if isinstance(engine, AbacusMitigation):
         state = engine.state

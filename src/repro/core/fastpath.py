@@ -1019,6 +1019,7 @@ class FastMemoryController:
                 # touched (the per-call executor used to spin up even
                 # for zero events).
                 return
+            self._check_rows(whole)
             if pooled and len(np.unique(whole.bank)) < 2:
                 self._note_degrade(self._single_lane_note())
                 pooled = False
@@ -1046,12 +1047,26 @@ class FastMemoryController:
             self._note_degrade(self._single_lane_note())
             pooled = False
         head = [c for c in (first, second) if c is not None]
-        stream = itertools.chain(head, chunks)
+        stream = map(self._check_rows, itertools.chain(head, chunks))
         if pooled:
             self._run_pooled_stream(stream)
         else:
             for chunk in _prefetch_chunks(stream):
                 self._run_chunk(chunk)
+
+    def _check_rows(self, trace: TraceArray) -> TraceArray:
+        """Raise the reference's ``IndexError`` for the first bad row.
+
+        Vector commits never call the bank model's ``activate`` (the
+        reference's range check), so one O(n) check per chunk stands
+        in for it.  Returns ``trace`` so streams can ``map`` over it.
+        """
+        rows = self.device.geometry.rows_per_bank
+        bad = (trace.row < 0) | (trace.row >= rows)
+        if bad.any():
+            row = int(trace.row[int(np.argmax(bad))])
+            raise IndexError(f"row {row} out of range [0, {rows})")
+        return trace
 
     def _single_lane_note(self) -> str:
         return (

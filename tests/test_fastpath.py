@@ -400,6 +400,38 @@ class TestKernelSchemes:
         )
         assert fast.to_dict() == reference.to_dict()
 
+    @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_out_of_range_row_raises_like_reference(self, scheme, streamed):
+        """A row past the bank must raise the reference's IndexError on
+        both engines -- vector commits never reach the bank model's own
+        range check, so the controller validates each chunk up front."""
+        import numpy as np
+
+        rows = np.asarray([100, 102] * 32)
+        rows[40] = 700
+        trace = pace_array(rows, DDR4_2400.trc, bank=0)
+        kwargs = dict(
+            scheme=scheme,
+            workload="bad-row",
+            banks=1,
+            rows_per_bank=512,
+            hammer_threshold=DEFAULT_SCALE.mitigation_trh,
+            track_faults=False,
+        )
+        message = r"row 700 out of range \[0, 512\)"
+        factory = _mitigation_factory(scheme, DEFAULT_SCALE.mitigation_trh)
+        with pytest.raises(IndexError, match=message):
+            simulate(trace, factory, fast=False, **kwargs)
+        events = list(trace) if streamed else trace
+        chunk_events = 16 if streamed else None
+        factory = _mitigation_factory(scheme, DEFAULT_SCALE.mitigation_trh)
+        with pytest.raises(IndexError, match=message):
+            simulate(
+                events, factory, fast=True, chunk_events=chunk_events,
+                **kwargs,
+            )
+
 
 class TestRunnerFallbackNotes:
     """`experiment --fast` job summaries name silent fallbacks."""
