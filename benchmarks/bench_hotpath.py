@@ -24,37 +24,26 @@ Three workloads:
   beat the reference here too instead of degrading to scalar stepping.
 * ``multirank32`` -- double-sided hammers on all 32 banks of a
   two-rank device (16 banks/rank), interleaved in 32-ACT bursts at
-  one ACT per tRC channel-wide.  This is the system-scale workload the
-  lane *sharding* path exists for: each scheme additionally runs with
-  ``shard_workers`` process-pool dispatch (one entry per worker count,
-  scaled to the machine) and once in streaming mode
-  (``chunk_events`` = 1/8 of the trace, so the carried-state path
-  crosses seven chunk boundaries).  Each sharded entry is timed twice
-  against the *persistent* shard pool: a cold pass right after
-  ``close_pool()`` (pays worker spawn) and a warm pass on the reused
-  pool -- the warm number is the headline, and the cold/warm split
-  prices the pool's amortization claim.  Aggregate ACTs/s here is the
-  headline throughput number; on a many-core machine the 8-worker
-  sharded run is where the >=10M ACTs/s target lives.
+  one ACT per tRC channel-wide: the system-scale workload.  Each
+  scheme additionally runs once in streaming mode (``chunk_events`` =
+  1/8 of the trace, so the carried-state path crosses seven chunk
+  boundaries).
 
 Every run of every variant must produce *identical* serialized
 ``SimulationResult``s -- the bench doubles as a coarse differential
 check (the fine-grained one, with the fault referee and table-state
 comparison, is the ``fastpath`` subject in ``repro.verify``, whose
-``--parallel`` leg covers the sharded + chunked stacks).
+``/chunked`` stack covers streaming).
 
 A ``streaming_memory`` section sizes the constant-memory claim with
 ``tracemalloc``: the same lazily-generated multirank event stream is
 simulated once whole (the engine materializes all columns) and once
 chunked; the chunked peak must stay well below the materialized one.
 
-Speed gates are CPU-aware: single-process speedups (batched kernel vs
-reference loop) are asserted everywhere, but sharded-vs-serial gates
-only apply when ``os.cpu_count() >= 4`` -- on a 1-2 core box a process
-pool cannot beat serial and the honest numbers say so.  The artifact
-records ``cpu_count`` so readers can interpret the sharded entries.
+Speed gates compare the batched kernels against the reference loop in
+the same process.  The artifact records ``cpu_count`` for context.
 
-Numbers land in ``BENCH_hotpath.json`` (schema 4) at the repo root,
+Numbers land in ``BENCH_hotpath.json`` (schema 5) at the repo root,
 and every run appends a ``hotpath`` entry (per-cell fast/reference
 ACTs/s) to the bench-trajectory history
 (:mod:`repro.bench.history`; redirect with ``GRAPHENE_BENCH_HISTORY``)
@@ -76,7 +65,6 @@ import numpy as np
 
 from repro.core.config import GrapheneConfig
 from repro.core.fastpath import kernel_for
-from repro.core.shard_pool import close_pool, pool_stats
 from repro.dram.timing import DDR4_2400
 from repro.sim.simulator import simulate
 from repro.workloads.columnar import TraceArray, merge_arrays, pace_array
@@ -84,19 +72,17 @@ from repro.workloads.trace import ActEvent
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
-#: Schema 4: sharded entries split into cold (pool spawn included) and
-#: warm (reused persistent pool) passes, and the payload carries a
-#: ``shard_pool`` lifecycle section (schema 3 added the multi-rank
-#: sharded/streaming workload, the streaming-memory section and the
-#: recorded ``cpu_count``; schema 2 per-workload sections with serial
-#: ref/fast rows only; schema 1 a single workload and only
-#: graphene/para rows).
-SCHEMA = 4
+#: Schema 5: the sharded entries, the worker-count list and the pool
+#: lifecycle section are gone with the process pool (schema 4
+#: split sharded entries into cold/warm pool passes; schema 3 added the
+#: multi-rank workload, the streaming-memory section and the recorded
+#: ``cpu_count``; schema 2 per-workload sections with serial ref/fast
+#: rows only; schema 1 a single workload and only graphene/para rows).
+SCHEMA = 5
 
 #: Every scheme with a registered batched kernel.  ABACuS's kernel
-#: declares ``cross_bank``: multirank sharded entries record its
-#: degrade-to-serial behavior (speedup_vs_fast ~1x) honestly, while on
-#: rr8 the vectorized banked lane carries it past the reference loop.
+#: declares ``cross_bank``: on rr8 the vectorized banked lane carries
+#: it past the reference loop.
 SCHEMES = ("graphene", "para", "twice", "cbt", "refresh-rate", "comet",
            "abacus")
 
@@ -193,7 +179,7 @@ def _multirank_trace(duration_ns: float) -> TraceArray:
     bursts: every bank is live across the whole trace (real bank-level
     parallelism, 1/32nd of the channel rate each) while same-bank runs
     stay long enough that the columnar kernels, not the dispatcher,
-    dominate -- the regime the lane sharding is built to scale.
+    dominate.
     """
     n = _multirank_acts(duration_ns)
     idx = np.arange(n, dtype=np.int64)
@@ -232,17 +218,9 @@ WORKLOADS = {
 }
 
 
-def _shard_worker_counts() -> list[int]:
-    """Worker counts for the sharded sweep: always 2 (the minimal pool,
-    comparable across machines), plus the machine's own scale capped at
-    the acceptance target of 8."""
-    cores = os.cpu_count() or 1
-    return sorted({2, min(8, max(2, cores))})
-
-
 def _timed(
     trace, scheme: str, workload: str, banks: int, ranks: int, fast: bool,
-    shard_workers: int = 1, chunk_events: int | None = None,
+    chunk_events: int | None = None,
 ) -> tuple[float, dict]:
     # The TraceArray goes straight into simulate(): converting to event
     # objects first would bury the engine speedup under millions of
@@ -257,7 +235,6 @@ def _timed(
         ranks=ranks,
         track_faults=False,
         fast=fast,
-        shard_workers=shard_workers,
         chunk_events=chunk_events,
     )
     return time.perf_counter() - start, result.to_dict()
@@ -309,7 +286,6 @@ def _streaming_memory_probe(duration_ns: float) -> dict:
 def run(duration_ns: float) -> dict:
     """Time every (scheme, workload) cell both ways; returns the payload."""
     workloads: dict[str, dict] = {}
-    pool_snapshot: dict | None = None
     for workload, (build, banks, ranks) in WORKLOADS.items():
         trace = build(duration_ns)
         acts = len(trace)
@@ -332,46 +308,6 @@ def run(duration_ns: float) -> dict:
                 "speedup": round(ref_seconds / fast_seconds, 2),
             }
             if workload == "multirank32":
-                sharded = []
-                for workers in _shard_worker_counts():
-                    # Cold pass: a fresh pool, so the spawn cost is in
-                    # the measurement.  Warm pass: the same workers,
-                    # resident and reused -- the steady-state number
-                    # every later sharded simulate() in a process pays.
-                    close_pool()
-                    cold_seconds, cold_result = _timed(
-                        trace, scheme, workload, banks, ranks, fast=True,
-                        shard_workers=workers,
-                    )
-                    warm_seconds, warm_result = _timed(
-                        trace, scheme, workload, banks, ranks, fast=True,
-                        shard_workers=workers,
-                    )
-                    sharded.append({
-                        "workers": workers,
-                        "seconds": round(warm_seconds, 4),
-                        "cold_seconds": round(cold_seconds, 4),
-                        "pool_spawn_overhead_seconds": round(
-                            max(0.0, cold_seconds - warm_seconds), 4
-                        ),
-                        "acts_per_sec": round(acts / warm_seconds),
-                        "speedup_vs_fast": round(
-                            fast_seconds / warm_seconds, 2
-                        ),
-                        "speedup_vs_reference": round(
-                            ref_seconds / warm_seconds, 2
-                        ),
-                        "identical": (
-                            cold_result == ref_result
-                            and warm_result == ref_result
-                        ),
-                    })
-                entry["sharded"] = sharded
-                # Keep the latest pool that actually sharded (ABACuS's
-                # cross_bank kernel degrades to serial and spawns
-                # none): runs_served == 2 with workers_spawned == the
-                # cold spawn is the warm pass's reuse, on the record.
-                pool_snapshot = pool_stats() or pool_snapshot
                 chunk_events = max(1, acts // _MR_CHUNKS)
                 seconds, result = _timed(
                     trace, scheme, workload, banks, ranks, fast=True,
@@ -392,19 +328,13 @@ def run(duration_ns: float) -> dict:
             "total_banks": banks * ranks,
             "schemes": schemes,
         }
-    # Torn down before returning so a bench run leaves no resident
-    # workers or shared-memory segments behind.
-    close_pool()
-    assert pool_stats() is None
     return {
         "schema": SCHEMA,
         "duration_ns": duration_ns,
         "timings": "DDR4_2400",
         "cpu_count": os.cpu_count(),
-        "shard_worker_counts": _shard_worker_counts(),
         "workloads": workloads,
         "streaming_memory": _streaming_memory_probe(duration_ns),
-        "shard_pool": pool_snapshot,
     }
 
 
@@ -420,14 +350,8 @@ def _append_history(payload: dict) -> None:
             "hotpath",
             metrics,
             path=os.environ.get("GRAPHENE_BENCH_HISTORY") or None,
-            # The sharded/pooled config rides along so the regression
-            # gate only compares like-for-like runs: a 2-core entry's
-            # sharded throughput is not a baseline for an 8-core one,
-            # and a cold-pool timing is not a baseline for a warm one.
             extra={
                 "duration_ns": payload["duration_ns"],
-                "shard_workers": payload["shard_worker_counts"],
-                "pool_reuse": True,
                 "cpu_count": payload["cpu_count"],
             },
         )
@@ -452,11 +376,6 @@ def bench_hotpath(benchmark, bench_duration_ns):
             # always, and every bench scheme carries a batched kernel.
             assert entry["identical"], f"{workload}/{scheme}: fast != reference"
             assert entry["has_kernel"], f"{workload}/{scheme}: kernel missing"
-            for shard in entry.get("sharded", ()):
-                assert shard["identical"], (
-                    f"{workload}/{scheme}: sharded x{shard['workers']} "
-                    "diverged"
-                )
             if "streaming" in entry:
                 assert entry["streaming"]["identical"], (
                     f"{workload}/{scheme}: streaming diverged"
@@ -487,27 +406,6 @@ def bench_hotpath(benchmark, bench_duration_ns):
     assert hammer["comet"]["speedup"] >= 2.0, payload
     assert hammer["abacus"]["speedup"] >= 2.0, payload
     assert rr8["abacus"]["speedup"] >= 1.0, payload
-    # Sharded gates only where a pool can physically win: with fewer
-    # than 4 cores the workers time-slice one or two CPUs and the
-    # honest numbers record the loss instead of faking a floor.
-    if (os.cpu_count() or 1) >= 4:
-        two_workers = multirank["graphene"]["sharded"][0]
-        assert two_workers["workers"] == 2
-        assert two_workers["speedup_vs_reference"] >= 2.0, two_workers
-        assert two_workers["speedup_vs_fast"] >= 1.2, two_workers
-        # Warm runs on the resident pool must not be slower than cold
-        # spawn-included ones beyond timer noise.
-        assert two_workers["seconds"] <= two_workers["cold_seconds"] * 1.5, (
-            two_workers
-        )
-    # The system-scale throughput target lives on the warm 8-worker
-    # pool of a machine with the cores to feed it.
-    if (os.cpu_count() or 1) >= 8:
-        best = max(
-            shard["acts_per_sec"]
-            for shard in multirank["graphene"]["sharded"]
-        )
-        assert best >= 10_000_000, multirank["graphene"]["sharded"]
 
 
 if __name__ == "__main__":

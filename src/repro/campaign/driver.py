@@ -269,8 +269,6 @@ class CampaignDriver:
             status = "completed-with-failures"
         else:
             status = "completed"
-        from ..core import shard_pool
-
         return {
             "status": status,
             "name": self.spec.name,
@@ -284,10 +282,6 @@ class CampaignDriver:
             "snapshot": snapshot,
             "telemetry_path": str(self.telemetry_path),
             "manifest_path": str(self.manifest.path),
-            # None unless some cell actually sharded in this process;
-            # with runner workers > 1 the sharding happens inside job
-            # processes, whose pools die with them.
-            "shard_pool": shard_pool.pool_stats(),
         }
 
     # ------------------------------------------------------------------

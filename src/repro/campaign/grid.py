@@ -90,7 +90,6 @@ class CampaignCell:
     banks: int
     ranks: int
     rows_per_bank: int
-    shard_workers: int = 1
 
     @property
     def cell_id(self) -> str:
@@ -119,7 +118,6 @@ class CampaignCell:
             hammer_threshold=self.hammer_threshold,
             engine=self.engine,
             label=self.cell_id,
-            shard_workers=self.shard_workers,
             **extra,
         )
 
@@ -143,13 +141,6 @@ class CampaignSpec:
             the default single grid is stock DDR4-2400.
         seed / engine / banks / ranks / rows_per_bank: Forwarded to
             every cell's simulation job.
-        shard_workers: With ``engine="fast"``, every cell dispatches
-            its bank lanes across this many processes from the
-            persistent shard pool; the pool is spawned once and reused
-            by every cell in the sweep.  Results are byte-identical at
-            any worker count, so the value stays *out* of the spec
-            digest and the cell cache keys when it is 1 (the sim-job
-            layer only records it when it actually shards).
     """
 
     name: str
@@ -165,7 +156,6 @@ class CampaignSpec:
     banks: int = 1
     ranks: int = 1
     rows_per_bank: int = 65536
-    shard_workers: int = 1
 
     def __post_init__(self) -> None:
         if not self.schemes:
@@ -188,10 +178,6 @@ class CampaignSpec:
             )
         if self.duration_ns <= 0:
             raise ValueError("duration_ns must be positive")
-        if self.shard_workers < 1:
-            raise ValueError(
-                f"shard_workers must be >= 1, got {self.shard_workers}"
-            )
 
     # ------------------------------------------------------------------
 
@@ -228,7 +214,6 @@ class CampaignSpec:
                                 banks=self.banks,
                                 ranks=self.ranks,
                                 rows_per_bank=self.rows_per_bank,
-                                shard_workers=self.shard_workers,
                             )
                         )
         return expanded
@@ -239,7 +224,7 @@ class CampaignSpec:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-able form (inverted by :meth:`from_dict`)."""
-        payload = {
+        return {
             "schema": SPEC_SCHEMA_VERSION,
             "name": self.name,
             "schemes": list(self.schemes),
@@ -256,11 +241,6 @@ class CampaignSpec:
             "ranks": self.ranks,
             "rows_per_bank": self.rows_per_bank,
         }
-        if self.shard_workers != 1:
-            # Omitted at the default so every pre-existing spec digest
-            # (and therefore resumable checkpoint) keeps its identity.
-            payload["shard_workers"] = self.shard_workers
-        return payload
 
     def digest(self) -> str:
         """Content digest identifying the grid (resume safety check)."""
@@ -290,7 +270,6 @@ class CampaignSpec:
         known = {
             "name", "schemes", "thresholds", "duration_ns", "timing_grids",
             "seed", "engine", "banks", "ranks", "rows_per_bank",
-            "shard_workers",
         }
         unexpected = set(payload) - known
         if unexpected:

@@ -46,12 +46,7 @@ from .analysis.scaling import scheme_factories
 from .core.config import GrapheneConfig
 from .dram.faults import CouplingProfile
 from .experiments import EXPERIMENT_NAMES, load
-from .experiments.runner import (
-    ExperimentRunner,
-    using_engine,
-    using_runner,
-    using_shard_workers,
-)
+from .experiments.runner import ExperimentRunner, using_engine, using_runner
 from .mitigations import no_mitigation_factory
 from .sim.cache import ResultCache, default_cache_dir
 from .sim.simulator import simulate
@@ -92,16 +87,6 @@ def _job_count(text: str) -> int:
     return value
 
 
-def _worker_count(text: str) -> int:
-    """argparse type for ``--shard-workers``: positive int."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 1 (1 = serial fast mode), got {value}"
-        )
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -124,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--jobs", type=_job_count, default=1, metavar="N",
         help="worker processes for simulation cells "
-             "(1 = serial, 0 = all CPU cores; default 1)",
+             "(1 = serial, 0 = all CPU cores; default 1); this is the "
+             "only parallel axis: with --fast each cell runs the fast "
+             "engine in-process inside its worker (see docs/scaling.md)",
     )
     experiment.add_argument(
         "--no-cache", action="store_true",
@@ -144,16 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
              "kernel (or telemetry-on runs) fall back to the reference "
              "loop with a warning, and the fallback reason is surfaced "
              "in the job summary",
-    )
-    experiment.add_argument(
-        "--shard-workers", type=_worker_count, default=1, metavar="N",
-        help="with --fast: dispatch per-bank lanes across N processes "
-             "from the persistent shard pool inside each simulation "
-             "cell (workers spawn once and are reused across cells; "
-             "traces cross via shared memory; byte-identical results; "
-             "1 = serial fast mode; see docs/scaling.md for sizing, "
-             "and note --jobs parallelism composes multiplicatively "
-             "with this)",
     )
     experiment.add_argument(
         "--quiet", action="store_true",
@@ -309,13 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true",
         help="suppress per-cell progress lines on stderr",
     )
-    fuzz.add_argument(
-        "--parallel", action="store_true",
-        help="extend the fastpath differential subject with a sharded+"
-             "chunked leg: every stream additionally runs through the "
-             "fast engine with 2 shard workers and chunked streaming, "
-             "and must stay byte-identical to the reference",
-    )
 
     replay = verify_sub.add_parser(
         "replay", help="re-run saved reproducer artifacts"
@@ -324,10 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         "artifact", nargs="+",
         help="artifact JSON path(s) written by 'verify fuzz'",
     )
-    replay.add_argument(
-        "--parallel", action="store_true",
-        help="include the sharded+chunked fastpath leg in the replay",
-    )
 
     corpus = verify_sub.add_parser(
         "corpus", help="replay the committed regression corpus"
@@ -335,10 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument(
         "--dir", default="tests/corpus", metavar="DIR",
         help="corpus directory of artifact JSONs (default tests/corpus)",
-    )
-    corpus.add_argument(
-        "--parallel", action="store_true",
-        help="include the sharded+chunked fastpath leg in every replay",
     )
 
     campaign = commands.add_parser(
@@ -454,8 +416,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
     engine = "fast" if args.fast else "reference"
     bus = TelemetryBus() if telemetry_on else None
     with telemetry_session(bus) if bus is not None else nullcontext():
-        with using_runner(runner), using_engine(engine), \
-                using_shard_workers(args.shard_workers):
+        with using_runner(runner), using_engine(engine):
             for index, name in enumerate(names):
                 if len(names) > 1:
                     prefix = "\n" if index else ""
@@ -610,14 +571,14 @@ def _command_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _replay_paths(paths, parallel: bool = False) -> int:
+def _replay_paths(paths) -> int:
     """Replay artifacts; print one verdict line each; exit 1 on any FAIL."""
     from .verify import artifact_verdict, replay_artifact
 
     paths = list(paths)
     failures = 0
     for path in paths:
-        report, artifact = replay_artifact(path, parallel_fastpath=parallel)
+        report, artifact = replay_artifact(path)
         ok, message = artifact_verdict(report, artifact)
         status = "ok" if ok else "FAIL"
         print(
@@ -651,7 +612,6 @@ def _command_verify(args: argparse.Namespace) -> int:
                 runner=runner,
                 shrink=not args.no_shrink,
                 artifact_dir=args.artifact_dir,
-                parallel_fastpath=args.parallel,
             )
         for line in report.summary():
             print(line)
@@ -662,14 +622,14 @@ def _command_verify(args: argparse.Namespace) -> int:
                             bus.dropped))
         return 0 if report.ok else 1
     if args.verify_command == "replay":
-        return _replay_paths(args.artifact, parallel=args.parallel)
+        return _replay_paths(args.artifact)
     if args.verify_command == "corpus":
         paths = sorted(str(p) for p in Path(args.dir).glob("*.json"))
         if not paths:
             print(f"error: no artifact JSONs under {args.dir}/",
                   file=sys.stderr)
             return 2
-        return _replay_paths(paths, parallel=args.parallel)
+        return _replay_paths(paths)
     raise AssertionError("unreachable")
 
 
@@ -755,31 +715,21 @@ def _command_campaign(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "list":
-            return _command_list()
-        if args.command == "experiment":
-            return _command_experiment(args)
-        if args.command == "derive":
-            return _command_derive(args)
-        if args.command == "attack":
-            return _command_attack(args)
-        if args.command == "trace":
-            return _command_trace(args)
-        if args.command == "verify":
-            return _command_verify(args)
-        if args.command == "campaign":
-            return _command_campaign(args)
-        raise AssertionError("unreachable")
-    finally:
-        # Deterministic shard-pool teardown on every exit path,
-        # KeyboardInterrupt included: stops the persistent workers and
-        # unlinks any shared-memory segments a dying run left mapped.
-        # (atexit would catch a clean interpreter exit; this also
-        # covers main() being driven in-process, e.g. from tests.)
-        from .core.shard_pool import close_pool
-
-        close_pool()
+    if args.command == "list":
+        return _command_list()
+    if args.command == "experiment":
+        return _command_experiment(args)
+    if args.command == "derive":
+        return _command_derive(args)
+    if args.command == "attack":
+        return _command_attack(args)
+    if args.command == "trace":
+        return _command_trace(args)
+    if args.command == "verify":
+        return _command_verify(args)
+    if args.command == "campaign":
+        return _command_campaign(args)
+    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -65,29 +65,6 @@ class ControllerCounters:
     ref_ticks_forwarded: int = 0
     bit_flips: int = 0
 
-    def absorb(self, other: "ControllerCounters") -> None:
-        """Fold another tally into this one.
-
-        Every field is an order-independent sum, so shard workers can
-        tally locally and the parent can absorb the deltas in any
-        order without changing the totals.
-        """
-        self.acts_issued += other.acts_issued
-        self.nrr_commands += other.nrr_commands
-        self.nrr_rows += other.nrr_rows
-        self.ref_ticks_forwarded += other.ref_ticks_forwarded
-        self.bit_flips += other.bit_flips
-
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        """Compact wire form for shard-pool replies."""
-        return (
-            self.acts_issued,
-            self.nrr_commands,
-            self.nrr_rows,
-            self.ref_ticks_forwarded,
-            self.bit_flips,
-        )
-
 
 class MemoryController:
     """Binds a DRAM device to per-bank mitigation engines.

@@ -13,9 +13,9 @@ at a time.  The per-scheme batching arguments:
   the same PCG64 double stream as ``n`` scalar ``.random()`` calls
   (pinned by ``tests/test_para.py``), so the kernel draws the whole
   run's candidate matrix at once, finds the first event with any
-  success, rewinds the generator (:meth:`snapshot`/:meth:`restore` of
-  the bit-generator state) and re-draws exactly the prefix's worth of
-  values -- the generator lands bit-for-bit where the scalar loop
+  success, rewinds the generator (it saves the bit-generator state
+  before the speculative draw) and re-draws exactly the prefix's worth
+  of values -- the generator lands bit-for-bit where the scalar loop
   would, and the first successful event replays scalar (its side draw
   and edge reflection included).
 * **TWiCe** counts exactly per row and only mutates shared state on a
@@ -50,8 +50,8 @@ at a time.  The per-scheme batching arguments:
   evictions they cause) are threshold crossings, so they replay
   scalar.
 * **ABACuS** shares one table across banks (``cross_bank = True`` --
-  the dispatcher never shards it, but runs it through the vectorized
-  cross-bank lane: long same-bank runs use ``commit_run``,
+  the dispatcher never splits it into per-bank lanes, but runs it
+  through the vectorized cross-bank lane: long same-bank runs use ``commit_run``,
   interleave-heavy stretches use ``commit_run_banked`` over
   multi-bank windows in global order).  Within a same-bank run the
   SAV discipline collapses: the first occurrence of a tracked row
@@ -72,27 +72,18 @@ at a time.  The per-scheme batching arguments:
 any kernel-covered scheme; the differential subject
 (:mod:`repro.verify.fastpath_check`) uses it on both the reference
 run's engines and the fast run's kernels.
-
-Picklability is part of the kernel contract: the sharded dispatcher
-(``FastMemoryController(shard_workers=N)``) ships each kernel -- with
-its wrapped live engine -- to a worker process and writes the mutated
-object back, so a kernel must round-trip through ``pickle`` with its
-complete state (including ``numpy.Generator`` bit-generator state for
-PARA) bit-exactly.  Plain attribute objects satisfy this for free;
-avoid open handles, closures or module-level aliasing in new kernels.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Any
 
 import numpy as np
 
-from ..mitigations.abacus import AbacusEntry, AbacusMitigation
+from ..mitigations.abacus import AbacusMitigation
 from ..mitigations.base import MitigationEngine, RefreshDirective
-from ..mitigations.cbt import CBT, _Counter
+from ..mitigations.cbt import CBT
 from ..mitigations.comet import CoMeTMitigation
 from ..mitigations.graphene import GrapheneMitigation
 from ..mitigations.para import PARA
@@ -116,9 +107,8 @@ class _WrappedKernel:
 
     The scalar path *is* the reference path: delegation to the real
     ``MitigationEngine`` entry points, stats object shared.  Subclasses
-    supply ``commit_run`` (and override ``next_blocking_ns`` /
-    ``snapshot`` / ``restore`` where the scheme has windowed or
-    draw-consuming state).
+    supply ``commit_run`` (and override ``next_blocking_ns`` where the
+    scheme has windowed state).
     """
 
     def __init__(self, mitigation: MitigationEngine) -> None:
@@ -187,26 +177,6 @@ class FastParaKernel(_WrappedKernel):
             rng.random(first * k)
         self.stats.activations += first
         return first, []
-
-    def snapshot(self) -> Any:
-        stats = self.stats
-        return (
-            self.mitigation._rng.bit_generator.state,
-            stats.activations,
-            stats.refresh_directives,
-            stats.rows_refreshed,
-            stats.largest_directive_rows,
-        )
-
-    def restore(self, state: Any) -> None:
-        stats = self.stats
-        (
-            self.mitigation._rng.bit_generator.state,
-            stats.activations,
-            stats.refresh_directives,
-            stats.rows_refreshed,
-            stats.largest_directive_rows,
-        ) = state
 
 
 class FastTwiceKernel(_WrappedKernel):
@@ -279,30 +249,6 @@ class FastTwiceKernel(_WrappedKernel):
         self.stats.activations += extent
         return extent, []
 
-    def snapshot(self) -> Any:
-        m: TWiCe = self.mitigation
-        return (
-            {
-                row: (entry.act_count, entry.life)
-                for row, entry in m._entries.items()
-            },
-            m.peak_occupancy,
-            m.capacity_violations,
-            m.pruned_entries,
-            copy.copy(self.stats),
-        )
-
-    def restore(self, state: Any) -> None:
-        m: TWiCe = self.mitigation
-        entry_state, m.peak_occupancy, m.capacity_violations, (
-            m.pruned_entries
-        ), stats = state
-        m._entries = {
-            row: _Entry(act_count=count, life=life)
-            for row, (count, life) in entry_state.items()
-        }
-        self.stats.__dict__.update(stats.__dict__)
-
 
 class FastCbtKernel(_WrappedKernel):
     """Counter-tree update over ``np.bincount`` leaf segments.
@@ -364,27 +310,6 @@ class FastCbtKernel(_WrappedKernel):
         self.stats.activations += extent
         return extent, []
 
-    def snapshot(self) -> Any:
-        m: CBT = self.mitigation
-        return (
-            m.leaf_snapshot(),
-            m._current_window,
-            m.splits,
-            m.window_resets,
-            copy.copy(self.stats),
-        )
-
-    def restore(self, state: Any) -> None:
-        m: CBT = self.mitigation
-        leaf_state, m._current_window, m.splits, m.window_resets, (
-            stats
-        ) = state
-        m._leaves = [
-            _Counter(start, size, level, count)
-            for start, size, level, count in leaf_state
-        ]
-        self.stats.__dict__.update(stats.__dict__)
-
 
 class FastRefreshRateKernel(_WrappedKernel):
     """Refresh-rate ACTs are no-ops; commit the whole run."""
@@ -403,13 +328,6 @@ class FastRefreshRateKernel(_WrappedKernel):
     ) -> tuple[int, list[RefreshDirective]]:
         self.stats.activations += len(rows)
         return len(rows), []
-
-    def snapshot(self) -> Any:
-        return (self.mitigation._pointer, copy.copy(self.stats))
-
-    def restore(self, state: Any) -> None:
-        self.mitigation._pointer, stats = state
-        self.stats.__dict__.update(stats.__dict__)
 
 
 class FastCometKernel(_WrappedKernel):
@@ -509,28 +427,6 @@ class FastCometKernel(_WrappedKernel):
         sketch.observations += int(sketched.sum())
         self.stats.activations += extent
         return extent, []
-
-    def snapshot(self) -> Any:
-        m: CoMeTMitigation = self.mitigation
-        return (
-            m.sketch._table.copy(),
-            m.sketch.observations,
-            dict(m.rat),
-            m.current_window,
-            copy.copy(m.cstats),
-            copy.copy(self.stats),
-        )
-
-    def restore(self, state: Any) -> None:
-        m: CoMeTMitigation = self.mitigation
-        (
-            table, m.sketch.observations, rat, m.current_window, cstats,
-            stats,
-        ) = state
-        m.sketch._table[:] = table
-        m.rat = dict(rat)
-        m.cstats.__dict__.update(cstats.__dict__)
-        self.stats.__dict__.update(stats.__dict__)
 
 
 class FastAbacusKernel(_WrappedKernel):
@@ -804,26 +700,6 @@ class FastAbacusKernel(_WrappedKernel):
             if step >= n:
                 return count, t, None
             t = step
-
-    def snapshot(self) -> Any:
-        state = self.mitigation.state
-        return (
-            state.tracked(),
-            state.spillover,
-            state.current_window,
-            copy.copy(state.stats),
-            copy.copy(self.stats),
-        )
-
-    def restore(self, snap: Any) -> None:
-        state = self.mitigation.state
-        tracked, state.spillover, state.current_window, sstats, stats = snap
-        state.entries = {
-            row: AbacusEntry(rac=rac, sav=sav)
-            for row, (rac, sav) in tracked.items()
-        }
-        state.stats.__dict__.update(sstats.__dict__)
-        self.stats.__dict__.update(stats.__dict__)
 
 
 def reference_state(engine: Any) -> dict[str, Any]:

@@ -1,4 +1,4 @@
-"""Batched hot path: per-scheme kernels + bank-sharded dispatch.
+"""Batched hot path: per-scheme kernels + per-bank lane dispatch.
 
 :func:`repro.sim.simulator.simulate` normally pushes every ACT through
 ``MemoryController.step`` one :class:`~repro.workloads.trace.ActEvent`
@@ -23,19 +23,15 @@ module provides the same semantics in batch form:
   executed directives) back into exact global event order.  A
   round-robin interleave across 8 banks -- length-1 contiguous runs,
   the old dispatcher's worst case -- batches exactly as well as a
-  single-bank hammer.  Two execution axes scale it further:
-  ``shard_workers=N`` fans the lanes across the *persistent* shard
-  pool (:mod:`repro.core.shard_pool`): lane state ships to each worker
-  once per run and stays resident across chunks, event columns travel
-  through shared-memory segments, and only chunk boundary offsets
-  cross the IPC channel; ``run(..., chunk_events=N)`` streams
+  single-bank hammer.  ``run(..., chunk_events=N)`` streams
   arbitrarily long traces in bounded chunks with kernel/bank state
-  carried across chunk boundaries, double-buffered so chunk ``n+1``
-  materializes while chunk ``n`` executes -- both byte-identical to
-  the serial in-memory run.  Kernels with bank-shared state (ABACuS)
-  run in-process on the vectorized cross-bank lane instead: short
-  same-bank runs coalesce into multi-bank segments committed through
-  :meth:`FastKernel.commit_run_banked`.
+  carried across chunk boundaries, byte-identical to the in-memory
+  run.  Kernels with bank-shared state (ABACuS) run on the vectorized
+  cross-bank lane instead: short same-bank runs coalesce into
+  multi-bank segments committed through
+  :meth:`FastKernel.commit_run_banked`.  Everything runs in the
+  calling process and thread; the parallel axis is the experiment
+  runner's ``--jobs N`` over independent cells.
 
 **Equivalence contract.**  Driven over the same stream, the fast
 controller produces *byte-identical* state to the reference stack:
@@ -78,13 +74,8 @@ the measured speedups.
 from __future__ import annotations
 
 import heapq
-import itertools
-import logging
 import math
-import queue
-import threading
-from collections import deque
-from typing import Any, Callable, Iterable, Iterator, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -100,7 +91,7 @@ from ..mitigations.base import (
 )
 from ..mitigations.graphene import GrapheneMitigation
 from ..telemetry import runtime as _telemetry
-from ..workloads.columnar import TraceArray
+from ..workloads.columnar import TraceArray, iter_chunk_arrays
 from .graphene import GrapheneStats
 
 __all__ = [
@@ -133,10 +124,6 @@ _BANKED_SCALAR_RUN = 256
 #: ``int(t // window)`` decides.
 _WINDOW_MARGIN_NS = 1e-3
 
-#: Degrade/fallback warnings go to the same logger ``simulate`` uses,
-#: deduplicated to once per ``run`` (see ``_note_degrade``).
-_log = logging.getLogger("repro.sim")
-
 
 @runtime_checkable
 class FastKernel(Protocol):
@@ -160,11 +147,8 @@ class FastKernel(Protocol):
     #: batch through :meth:`commit_run`, and interleave-heavy stretches
     #: coalesce into multi-bank segments batched through the optional
     #: ``commit_run_banked(times, rows, banks) -> int`` hook when the
-    #: kernel provides one -- and :func:`build_fast_controller_ex`
-    #: degrades sharding requests to that lane (worker processes would
-    #: each mutate a divergent copy of the shared table).  Per-bank
-    #: kernels leave this ``False`` (the protocol default via
-    #: ``getattr``).
+    #: kernel provides one.  Per-bank kernels leave this ``False`` (the
+    #: protocol default via ``getattr``).
     cross_bank: bool
 
     #: Optional capability (``getattr`` default ``False``): ``True``
@@ -205,17 +189,8 @@ class FastKernel(Protocol):
         matching the reference order); kernels that trigger mid-run
         should instead truncate before the triggering event and let the
         scalar replay emit it.  Kernels with draw-consuming state (PARA)
-        use :meth:`snapshot`/:meth:`restore` internally to rewind past
-        speculative bulk work.
+        rewind past speculative bulk work themselves.
         """
-        ...
-
-    def snapshot(self) -> Any:
-        """Opaque copy of all mutable kernel state (boundary replay)."""
-        ...
-
-    def restore(self, state: Any) -> None:
-        """Restore a :meth:`snapshot` -- exact, including RNG streams."""
         ...
 
     def table_state(self) -> dict[str, Any]:
@@ -512,35 +487,6 @@ class FastGrapheneBank:
         self.stats.activations += extent
         return extent, []
 
-    def snapshot(self) -> Any:
-        kernel = self.kernel
-        return (
-            kernel.keys.copy(),
-            kernel.counts.copy(),
-            dict(kernel.slot_of),
-            kernel.size,
-            kernel.spillover,
-            kernel.observations,
-            kernel.last_evicted,
-            self.current_window,
-        )
-
-    def restore(self, state: Any) -> None:
-        kernel = self.kernel
-        (
-            keys,
-            counts,
-            slot_of,
-            kernel.size,
-            kernel.spillover,
-            kernel.observations,
-            kernel.last_evicted,
-            self.current_window,
-        ) = state
-        kernel.keys[:] = keys
-        kernel.counts[:] = counts
-        kernel.slot_of = dict(slot_of)
-
     # ------------------------------------------------------------------
     # Parity helpers
     # ------------------------------------------------------------------
@@ -580,28 +526,21 @@ def reference_table_state(mitigation: GrapheneMitigation) -> dict[str, object]:
 class _LaneEngine:
     """The per-bank lane executor: all scalar/vector lane machinery.
 
-    Holds exactly the state a lane needs to run *anywhere* -- the
-    counters it increments and whether executed directives are logged
-    -- so the same code path serves both the in-process serial
-    dispatcher and the sharded worker processes (which build a fresh
-    ``ControllerCounters`` each task and ship it home for summation;
-    every counter field is an order-independent sum, so merging by
-    bank is exact).
+    Holds the state a lane needs beyond its bank model and kernel: the
+    counters it increments and whether executed directives are logged.
     """
 
     def __init__(
         self,
         counters: ControllerCounters,
         keep_directive_log: bool,
-        bank_of: Callable[[int], Any] | None = None,
+        bank_of: Callable[[int], Any],
     ) -> None:
         self.counters = counters
         self.keep_directive_log = keep_directive_log
-        #: Resolves a directive's target bank model.  ``None`` in shard
-        #: workers, which only ever run per-bank kernels whose
-        #: directives target the lane's own bank; the serial dispatcher
-        #: passes ``device.bank`` so cross-bank directives (ABACuS)
-        #: land on the bank they name, as the reference MC does.
+        #: Resolves a directive's target bank model, so cross-bank
+        #: directives (ABACuS) land on the bank they name, as the
+        #: reference MC does.
         self.bank_of = bank_of
 
     def run_lane(
@@ -698,18 +637,15 @@ class _LaneEngine:
             directives.extend(kernel.on_refresh_command(ref_event.time_ns))
         directives.extend(kernel.on_activate(row, issue_ns))
         for directive in directives:
-            self._execute_directive(
-                bank_model, directive, issue_ns, gid, directives_out
-            )
+            self._execute_directive(directive, issue_ns, gid, directives_out)
 
     def _execute_directive(
-        self, bank_model, directive, now_ns: float, gid: int, directives_out
+        self, directive, now_ns: float, gid: int, directives_out
     ) -> None:
         rows = list(directive.victim_rows)
         if not rows:
             return
-        if self.bank_of is not None:
-            bank_model = self.bank_of(directive.bank)
+        bank_model = self.bank_of(directive.bank)
         bank_model.bank.nearby_row_refresh(len(rows), now_ns)
         if bank_model.faults is not None:
             bank_model.faults.on_refresh_range(rows)
@@ -857,55 +793,13 @@ class _LaneEngine:
 
         for directive in directives:
             self._execute_directive(
-                bank_model,
-                directive,
-                last_issue,
-                int(gids[extent - 1]),
-                directives_out,
+                directive, last_issue, int(gids[extent - 1]), directives_out
             )
         return extent, False, kernel_cut
 
 
-def _prefetch_chunks(chunks: "Iterator[TraceArray]") -> "Iterator[TraceArray]":
-    """Double-buffer a lazy chunk stream on a pump thread.
-
-    The pump materializes chunk ``n+1`` (list-buffering an event
-    iterable is pure-Python work that releases the GIL poorly but
-    overlaps fine with the numpy-heavy execution of chunk ``n``) while
-    the consumer executes chunk ``n``; the queue depth of one bounds
-    peak memory at two chunks.  Exceptions raised by the source ship
-    through the queue and re-raise in the consumer.  If the consumer
-    abandons the generator mid-stream, the daemon pump parks on its
-    final ``put`` holding at most one chunk.
-    """
-    buffer: queue.Queue = queue.Queue(maxsize=1)
-    done = object()
-
-    def pump() -> None:
-        try:
-            for chunk in chunks:
-                buffer.put(chunk)
-            buffer.put(done)
-        except BaseException as exc:  # noqa: BLE001 - relayed to consumer
-            buffer.put(exc)
-
-    thread = threading.Thread(
-        target=pump, name="repro-chunk-prefetch", daemon=True
-    )
-    thread.start()
-    while True:
-        item = buffer.get()
-        if item is done:
-            break
-        if isinstance(item, BaseException):
-            thread.join()
-            raise item
-        yield item
-    thread.join()
-
-
 class FastMemoryController:
-    """Bank-sharded twin of ``MemoryController`` for kernel schemes.
+    """Per-bank-lane twin of ``MemoryController`` for kernel schemes.
 
     Drives the *real* :class:`~repro.dram.device.DramBankModel` objects:
     scalar steps call the same methods the reference controller calls,
@@ -917,29 +811,11 @@ class FastMemoryController:
     into global event order afterwards.  Construct via
     :func:`build_fast_controller`.
 
-    Two orthogonal execution axes on top of the serial in-process
-    default:
-
-    * ``shard_workers > 1`` dispatches lanes across the persistent
-      shard pool (:mod:`repro.core.shard_pool`): every worker receives
-      its banks' models and kernels once per run and keeps them
-      resident across chunks; event columns travel through
-      shared-memory segments and per-chunk replies carry only sparse
-      outputs (positive delays, flips, directives, counter deltas), so
-      results stay byte-identical to serial fast mode at any worker
-      count.  The pool outlives the run -- and the controller -- and is
-      reused by every later sharded run in the process;
-    * ``run(..., chunk_events=N)`` streams the trace through the engine
-      in bounded chunks with all kernel/bank state carried across chunk
-      boundaries -- peak working memory is O(chunk), and with a lazy
-      event iterable the full trace is never materialized at all.
-      Chunk ``n+1`` materializes while chunk ``n`` executes (pump
-      thread in serial mode, pipelined double-buffering against the
-      pool in sharded mode).
-
-    Degenerate inputs never pay pool costs: an empty trace returns
-    immediately, and a trace whose events all land on one bank (a
-    single lane) runs serial fast mode with a once-per-run warning.
+    ``run(..., chunk_events=N)`` streams the trace through the engine in
+    bounded chunks with all kernel/bank state carried across chunk
+    boundaries -- peak working memory is O(chunk), and with a lazy event
+    iterable the full trace is never materialized at all.  Chunks are
+    pulled from the source on the calling thread, one at a time.
     """
 
     def __init__(
@@ -947,12 +823,7 @@ class FastMemoryController:
         device: DramDevice,
         engines: list[FastKernel],
         keep_directive_log: bool = False,
-        shard_workers: int = 1,
     ) -> None:
-        if shard_workers < 1:
-            raise ValueError(
-                f"shard_workers must be >= 1, got {shard_workers}"
-            )
         self.device = device
         self.engines = engines
         self.latency = LatencyTracker()
@@ -963,31 +834,16 @@ class FastMemoryController:
         )
         #: Any kernel with bank-shared tracking state forces single-lane
         #: execution: global order on the cross-bank lane, never per-bank
-        #: lanes (and never a shard pool -- divergent copies of the
-        #: shared table would be silently wrong, so that combination is
-        #: rejected here; ``build_fast_controller_ex`` degrades the
-        #: request with a note before construction instead).
+        #: lanes.
         self.cross_bank = any(
             getattr(engine, "cross_bank", False) for engine in engines
         )
-        if self.cross_bank and shard_workers > 1:
-            raise ValueError(
-                "cross_bank kernels share tracking state across banks and "
-                "cannot run sharded lanes; use shard_workers=1"
-            )
-        self.shard_workers = shard_workers
-        #: Advisory note set by :func:`build_fast_controller_ex` when a
-        #: sharding request silently degraded to serial fast mode.
-        self.shard_note: str | None = None
         #: Timestamp of the last event consumed (across all chunks), so
         #: streaming callers need not keep the trace around.
         self.last_event_ns = 0.0
         self._lane = _LaneEngine(
             self.counters, keep_directive_log, bank_of=device.bank
         )
-        #: Degrade warnings already logged this run (once-per-run dedupe
-        #: for per-chunk call sites).
-        self._run_warnings: set[str] = set()
         #: Adaptive attempt window for the banked cross-bank lane; a
         #: pure throughput heuristic (results are window-invariant),
         #: carried across segments so each slab starts where the
@@ -1007,59 +863,21 @@ class FastMemoryController:
         fully materialized); without it, non-array input is
         materialized into one :class:`TraceArray` first.
         """
-        self._run_warnings.clear()
-        whole = events if isinstance(events, TraceArray) else None
-        if whole is None and chunk_events is None:
-            whole = TraceArray.from_events(events)
-        pooled = self.shard_workers > 1 and len(self.engines) > 1
-
-        if whole is not None:
-            if len(whole) == 0:
-                # Nothing to execute -- in particular, no worker pool is
-                # touched (the per-call executor used to spin up even
-                # for zero events).
-                return
-            self._check_rows(whole)
-            if pooled and len(np.unique(whole.bank)) < 2:
-                self._note_degrade(self._single_lane_note())
-                pooled = False
-            if pooled:
-                self._run_pooled_whole(whole, chunk_events)
-            elif chunk_events is None:
-                self._run_chunk(whole)
-            else:
-                for chunk in whole.chunks(chunk_events):
-                    self._run_chunk(chunk)
-            return
-
-        from ..workloads.columnar import iter_chunk_arrays
-
-        chunks = iter_chunk_arrays(events, chunk_events)
-        first = next(chunks, None)
-        if first is None or len(first) == 0:
-            return
-        # A one-chunk stream whose events all hit one bank is a single
-        # lane: peek one chunk ahead so the guard can tell (multi-chunk
-        # streams go to the pool regardless -- later chunks may fan
-        # out, and scanning the whole stream would defeat streaming).
-        second = next(chunks, None) if pooled else None
-        if pooled and second is None and len(np.unique(first.bank)) < 2:
-            self._note_degrade(self._single_lane_note())
-            pooled = False
-        head = [c for c in (first, second) if c is not None]
-        stream = map(self._check_rows, itertools.chain(head, chunks))
-        if pooled:
-            self._run_pooled_stream(stream)
+        if chunk_events is not None:
+            chunks = iter_chunk_arrays(events, chunk_events)
+        elif isinstance(events, TraceArray):
+            chunks = [events]
         else:
-            for chunk in _prefetch_chunks(stream):
-                self._run_chunk(chunk)
+            chunks = [TraceArray.from_events(events)]
+        for chunk in chunks:
+            self._run_chunk(self._check_rows(chunk))
 
     def _check_rows(self, trace: TraceArray) -> TraceArray:
         """Raise the reference's ``IndexError`` for the first bad row.
 
         Vector commits never call the bank model's ``activate`` (the
         reference's range check), so one O(n) check per chunk stands
-        in for it.  Returns ``trace`` so streams can ``map`` over it.
+        in for it.
         """
         rows = self.device.geometry.rows_per_bank
         bad = (trace.row < 0) | (trace.row >= rows)
@@ -1068,164 +886,12 @@ class FastMemoryController:
             raise IndexError(f"row {row} out of range [0, {rows})")
         return trace
 
-    def _single_lane_note(self) -> str:
-        return (
-            f"sharding requested ({self.shard_workers} workers) but the "
-            "trace resolved to a single lane (every event on one bank); "
-            "running serial fast mode without a worker pool"
-        )
-
-    def _note_degrade(self, message: str) -> None:
-        """Log a degrade/fallback warning once per ``run``.
-
-        Chunked streaming reaches degrade decisions once per chunk;
-        the dedupe keeps the log at one line per distinct reason per
-        run while the runner's job note machinery stays intact.
-        """
-        if message in self._run_warnings:
-            return
-        self._run_warnings.add(message)
-        _log.warning("fast path: %s", message)
-
     # ------------------------------------------------------------------
-    # Pooled execution (persistent shard pool)
-    # ------------------------------------------------------------------
-
-    def _acquire_pool(self):
-        """The process pool plus this run's workers, or a degrade reason."""
-        from . import shard_pool as _shard_pool
-
-        requested = min(self.shard_workers, len(self.engines))
-        try:
-            pool = _shard_pool.get_pool()
-            workers = pool.ensure(requested)
-        except Exception as exc:  # noqa: BLE001 - any spawn failure degrades
-            return None, (
-                f"shard pool unavailable ({exc}); running serial fast mode"
-            )
-        return pool, workers
-
-    def _run_pooled_whole(
-        self, trace: TraceArray, chunk_events: int | None
-    ) -> None:
-        """Sharded run over an in-memory trace: one segment, many chunks.
-
-        The columns are exported to shared memory exactly once; chunk
-        messages carry only ``(segment, start, stop)`` offsets.
-        """
-        pool, workers = self._acquire_pool()
-        if pool is None:
-            size = chunk_events or len(trace)
-            for chunk in trace.chunks(size):
-                self._note_degrade(workers)
-                self._run_chunk(chunk)
-            return
-
-        def plan():
-            meta = pool.export(trace)
-            size = chunk_events or len(trace)
-            for start in range(0, len(trace), size):
-                stop = min(start + size, len(trace))
-                yield meta, start, stop, float(trace.time_ns[stop - 1]), False
-
-        self._drive_pool(pool, workers, plan())
-
-    def _run_pooled_stream(self, chunks) -> None:
-        """Sharded run over a lazy chunk stream: one segment per chunk.
-
-        Exporting chunk ``n+1`` (and materializing it from the source
-        iterable) overlaps with the workers executing chunk ``n`` --
-        the double buffer in :meth:`_drive_pool` collects a chunk only
-        after the next one has been queued.
-        """
-        pool, workers = self._acquire_pool()
-        if pool is None:
-            for chunk in chunks:
-                self._note_degrade(workers)
-                self._run_chunk(chunk)
-            return
-
-        def plan():
-            for chunk in chunks:
-                if len(chunk) == 0:
-                    continue
-                meta = pool.export(chunk)
-                yield meta, 0, len(chunk), float(chunk.time_ns[-1]), True
-
-        self._drive_pool(pool, workers, plan())
-
-    def _drive_pool(self, pool, workers, plan) -> None:
-        """Ship lane state once, stream chunk offsets, collect in order.
-
-        Bank ``i`` lives on worker ``i % len(workers)`` for the whole
-        run (deterministic assignment; collection is in worker order,
-        so scheduling never orders any output).  At most two chunks
-        are in flight: send chunk ``n+1``, then collect chunk ``n``.
-        On any failure -- a worker error, an interrupt -- the pool is
-        aborted: workers' resident state has diverged from the
-        parent's, so they are killed and every live shared-memory
-        segment is unlinked before the exception propagates.
-        """
-        keep_log = self.directive_log is not None
-        assignments: list[list] = [[] for _ in workers]
-        for bank_index in range(len(self.engines)):
-            assignments[bank_index % len(workers)].append((
-                bank_index,
-                self.device.bank(bank_index),
-                self.engines[bank_index],
-            ))
-        try:
-            for worker, lanes in zip(workers, assignments):
-                worker.send(("start", lanes, keep_log))
-            for worker in workers:
-                worker.recv()
-            pending: deque = deque()
-            for record in plan:
-                for worker in workers:
-                    worker.send(("chunk", record[0], record[1], record[2]))
-                pending.append(record)
-                if len(pending) >= 2:
-                    self._collect_pooled_chunk(
-                        pool, workers, pending.popleft()
-                    )
-            while pending:
-                self._collect_pooled_chunk(pool, workers, pending.popleft())
-            for worker in workers:
-                worker.send(("finish",))
-            for worker in workers:
-                for bank_index, bank_model, kernel in worker.recv()[1]:
-                    self.device.banks[bank_index] = bank_model
-                    self.engines[bank_index] = kernel
-            pool.runs_served += 1
-        except BaseException:
-            pool.abort()
-            raise
-        finally:
-            pool.release_all()
-
-    def _collect_pooled_chunk(self, pool, workers, record) -> None:
-        """Merge one chunk's worker replies (strict worker order)."""
-        meta, start, stop, last_time_ns, owned = record
-        delays = np.zeros(stop - start, dtype=np.float64)
-        flip_lanes: list[list[tuple[int, list[BitFlip]]]] = []
-        directive_lanes: list[list[tuple[int, RefreshDirective]]] = []
-        for worker in workers:
-            _, positions, values, w_flips, w_dirs, counters = worker.recv()
-            if len(positions):
-                delays[positions] = values
-            flip_lanes.extend(w_flips)
-            directive_lanes.extend(w_dirs)
-            self.counters.absorb(ControllerCounters(*counters))
-        self._merge_chunk(last_time_ns, delays, flip_lanes, directive_lanes)
-        if owned:
-            pool.release(meta.name)
-
-    # ------------------------------------------------------------------
-    # In-process execution
+    # Chunk execution
     # ------------------------------------------------------------------
 
     def _run_chunk(self, trace: TraceArray) -> None:
-        """One chunk through the in-process serial lane dispatcher."""
+        """One chunk through the per-bank lane dispatcher."""
         n = len(trace)
         if n == 0:
             return
@@ -1747,7 +1413,6 @@ def build_fast_controller_ex(
     device: DramDevice,
     factory: MitigationFactory,
     keep_directive_log: bool = False,
-    shard_workers: int = 1,
 ) -> tuple[FastMemoryController | None, str | None]:
     """Build the fast controller, or ``(None, reason)`` if it cannot
     apply.  Fallback triggers (the caller should use the reference
@@ -1757,21 +1422,7 @@ def build_fast_controller_ex(
       the per-event telemetry the reference emits;
     * some bank's engine type has no registered kernel (see
       :func:`register_kernel`; :func:`kernel_schemes` lists coverage).
-
-    ``shard_workers > 1`` requests the process-pool lane dispatcher.
-    On a device with fewer than two banks there is only one lane, so
-    sharding degrades to serial fast mode; likewise when any kernel
-    declares the ``cross_bank`` capability (ABACuS) -- independent
-    worker processes would each mutate a divergent copy of the shared
-    tracking table.  The built controller then carries a ``shard_note``
-    naming the requested worker count *and the capability that forced
-    the degrade* so callers (``simulate``, the experiment runner's job
-    notes) can surface the silent degrade instead of swallowing it.
     """
-    if shard_workers < 1:
-        # A nonsense worker count is a caller bug, not a configuration
-        # the reference loop should quietly absorb.
-        raise ValueError(f"shard_workers must be >= 1, got {shard_workers}")
     if _telemetry.BUS is not None:
         return None, (
             "telemetry bus active (per-event telemetry needs the "
@@ -1788,34 +1439,7 @@ def build_fast_controller_ex(
             scheme = getattr(mitigation, "name", type(mitigation).__name__)
             return None, f"no batched kernel for scheme {scheme!r}"
         engines.append(kernel)
-    shard_note = None
-    if shard_workers > 1 and device.geometry.total_banks < 2:
-        shard_note = (
-            f"sharding requested ({shard_workers} workers) but the device "
-            f"has a single bank (one lane); running serial fast mode "
-            f"without the shard pool"
-        )
-        shard_workers = 1
-    cross_bank_schemes = sorted(
-        {
-            engine.name
-            for engine in engines
-            if getattr(engine, "cross_bank", False)
-        }
-    )
-    if shard_workers > 1 and cross_bank_schemes:
-        shard_note = (
-            f"sharding requested ({shard_workers} workers) but scheme "
-            f"{cross_bank_schemes[0]!r} declares the cross_bank capability "
-            f"(tracking state shared across banks); running serial fast "
-            f"mode on the vectorized cross-bank lane"
-        )
-        shard_workers = 1
-    controller = FastMemoryController(
-        device, engines, keep_directive_log, shard_workers=shard_workers
-    )
-    controller.shard_note = shard_note
-    return controller, None
+    return FastMemoryController(device, engines, keep_directive_log), None
 
 
 def build_fast_controller(

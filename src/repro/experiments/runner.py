@@ -57,9 +57,6 @@ __all__ = [
     "get_engine",
     "set_engine",
     "using_engine",
-    "get_shard_workers",
-    "set_shard_workers",
-    "using_shard_workers",
     "run_sim_spec",
     "sim_job",
     "build_factory",
@@ -97,39 +94,6 @@ def using_engine(engine: str) -> Iterator[str]:
         yield engine
     finally:
         set_engine(previous)
-
-
-_default_shard_workers = 1
-
-
-def get_shard_workers() -> int:
-    """Shard-worker count :func:`sim_job` uses when none is requested.
-
-    Only consulted for fast-engine jobs: the reference loop has no lane
-    dispatcher to shard.
-    """
-    return _default_shard_workers
-
-
-def set_shard_workers(workers: int) -> int:
-    """Install ``workers`` as the default shard count; returns it."""
-    if workers < 1:
-        raise ValueError(f"shard workers must be >= 1, got {workers}")
-    global _default_shard_workers
-    _default_shard_workers = workers
-    return _default_shard_workers
-
-
-@contextlib.contextmanager
-def using_shard_workers(workers: int) -> Iterator[int]:
-    """Temporarily give fast-engine :func:`sim_job` jobs ``workers``
-    lane-shard worker processes."""
-    previous = get_shard_workers()
-    set_shard_workers(workers)
-    try:
-        yield workers
-    finally:
-        set_shard_workers(previous)
 
 
 # ----------------------------------------------------------------------
@@ -359,17 +323,10 @@ class ExperimentRunner:
             return ""
         if job.kwargs.get("engine", "reference") != "fast":
             return ""
-        shard_workers = int(job.kwargs.get("shard_workers", 1))
-        requested = (
-            f" (requested {shard_workers} shard workers)"
-            if shard_workers > 1
-            else ""
-        )
         if _telemetry.BUS is not None:
             return (
-                "fast engine fell back to the reference loop"
-                f"{requested}: telemetry bus active (per-event telemetry "
-                "needs the reference loop)"
+                "fast engine fell back to the reference loop: telemetry "
+                "bus active (per-event telemetry needs the reference loop)"
             )
         from ..core.fastpath import kernel_for
 
@@ -382,28 +339,11 @@ class ExperimentRunner:
             probe = factory(0, int(job.kwargs.get("rows_per_bank", 65536)))
         except Exception:
             return ""  # malformed spec: let the job itself report it
-        kernel = kernel_for(probe)
-        if kernel is None:
+        if kernel_for(probe) is None:
             scheme = getattr(probe, "name", type(probe).__name__)
             return (
-                "fast engine fell back to the reference loop"
-                f"{requested}: no batched kernel for scheme {scheme!r}"
-            )
-        total_banks = int(job.kwargs.get("banks", 1)) * int(
-            job.kwargs.get("ranks", 1)
-        )
-        if shard_workers > 1 and total_banks < 2:
-            return (
-                f"sharding requested ({shard_workers} workers) but the "
-                "device has a single bank (one lane); cell ran serial "
-                "fast mode"
-            )
-        if shard_workers > 1 and getattr(kernel, "cross_bank", False):
-            scheme = getattr(probe, "name", type(probe).__name__)
-            return (
-                f"sharding requested ({shard_workers} workers) but scheme "
-                f"{scheme!r} declares the cross_bank capability (tracking "
-                "state shared across banks); cell ran serial fast mode"
+                "fast engine fell back to the reference loop: no batched "
+                f"kernel for scheme {scheme!r}"
             )
         return ""
 
@@ -758,7 +698,6 @@ def run_sim_spec(
     track_faults: bool = False,
     banks: int = 1,
     engine: str = "reference",
-    shard_workers: int = 1,
     chunk_events: int | None = None,
     ranks: int = 1,
 ) -> SimulationResult:
@@ -769,11 +708,10 @@ def run_sim_spec(
     selects the simulation variant (see :data:`ENGINES`); results are
     engine-independent by construction, but the variants have different
     perf envelopes, so the choice is part of the cache key whenever it
-    is not the default.  The same applies to ``shard_workers`` /
-    ``chunk_events`` / ``ranks``: results are identical at any value,
-    and :func:`sim_job` keeps them out of the kwargs (and therefore the
-    cache key) at their defaults so existing cache entries keep their
-    addresses.
+    is not the default.  The same applies to ``chunk_events`` /
+    ``ranks``: results are identical at any value, and :func:`sim_job`
+    keeps them out of the kwargs (and therefore the cache key) at their
+    defaults so existing cache entries keep their addresses.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -792,7 +730,6 @@ def run_sim_spec(
         track_faults=track_faults,
         duration_ns=duration_ns,
         fast=(engine == "fast"),
-        shard_workers=shard_workers,
         chunk_events=chunk_events,
         ranks=ranks,
     )
@@ -807,7 +744,6 @@ def sim_job(
     duration_ns: float,
     label: str = "",
     engine: str | None = None,
-    shard_workers: int | None = None,
     **kwargs: Any,
 ) -> Job:
     """Build a :class:`Job` for one declarative simulation.
@@ -816,24 +752,13 @@ def sim_job(
     enters the job's kwargs -- and therefore the cache key -- only when
     it differs from ``"reference"``, so fast-path runs are cached
     separately while every pre-existing reference cache entry keeps its
-    address.  ``shard_workers`` likewise defaults to the session value
-    (:func:`get_shard_workers`) and enters the kwargs only for
-    fast-engine jobs with more than one worker -- results are identical
-    at any count, but the perf envelope differs, so a sharded run is
-    cached under its own key.
+    address.
     """
     engine = engine if engine is not None else get_engine()
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    shard_workers = (
-        shard_workers if shard_workers is not None else get_shard_workers()
-    )
-    if shard_workers < 1:
-        raise ValueError(f"shard workers must be >= 1, got {shard_workers}")
     if engine != "reference":
         kwargs = dict(kwargs, engine=engine)
-        if shard_workers > 1:
-            kwargs = dict(kwargs, shard_workers=shard_workers)
     return Job(
         fn="repro.experiments.runner:run_sim_spec",
         kwargs=dict(

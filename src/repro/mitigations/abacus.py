@@ -31,7 +31,7 @@ immediately rather than waiting for the next exact multiple.
 
 Cross-bank sharing is what makes ABACuS the adversarial example for
 the fast path: one tracking structure fed by every bank breaks the
-per-bank lane-sharding assumption, which is why the fast kernel
+per-bank lane independence assumption, which is why the fast kernel
 declares ``cross_bank=True`` (see ``repro.core.fast_kernels``).
 """
 

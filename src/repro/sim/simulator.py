@@ -73,7 +73,6 @@ def simulate(
     track_faults: bool = True,
     duration_ns: float | None = None,
     fast: bool = False,
-    shard_workers: int = 1,
     chunk_events: int | None = None,
     ranks: int = 1,
 ) -> SimulationResult:
@@ -102,18 +101,7 @@ def simulate(
             remains the automatic fallback (telemetry bus installed, or
             a scheme without a batched kernel).  A fallback logs a
             one-line warning on the ``repro.sim`` logger naming the
-            reason -- and the requested shard-worker count, when
-            sharding was asked for -- so a silent ~1x run is visible.
-        shard_workers: With ``fast=True``, dispatch per-bank lanes
-            across this many processes from the persistent shard pool
-            (1 = in-process serial fast mode).  Workers are spawned
-            lazily on first use and reused by every later sharded
-            ``simulate()`` call in this process; traces cross to them
-            through shared memory, not pickles.  Results are
-            byte-identical at any worker count.  On a single-bank
-            device -- or a trace whose events all land on one bank --
-            the request degrades to serial fast mode with one logged
-            warning naming the count.
+            reason, so a silent ~1x run is visible.
         chunk_events: With ``fast=True``, stream the trace through the
             engine in chunks of at most this many events (state carried
             across chunk boundaries; bit-identical).  Bounds working
@@ -139,33 +127,17 @@ def simulate(
         from ..core.fastpath import build_fast_controller_ex
 
         controller, fallback_reason = build_fast_controller_ex(
-            device, factory, shard_workers=shard_workers
+            device, factory
         )
         if controller is None:
             # Make the silent ~1x fallback visible: the caller asked for
-            # the batch engine and is getting the reference loop.  Name
-            # the requested worker count too -- a degraded --fast
-            # --shard-workers run is slower by a larger factor than a
-            # degraded --fast run.
-            requested = (
-                f" (requested {shard_workers} shard workers)"
-                if shard_workers > 1
-                else ""
-            )
+            # the batch engine and is getting the reference loop.
             _log.warning(
                 "simulate(fast=True) falling back to the reference "
-                "engine for scheme %r workload %r%s: %s",
+                "engine for scheme %r workload %r: %s",
                 scheme,
                 workload,
-                requested,
                 fallback_reason,
-            )
-        elif controller.shard_note:
-            _log.warning(
-                "simulate(fast=True) scheme %r workload %r: %s",
-                scheme,
-                workload,
-                controller.shard_note,
             )
 
     last_time_ns = 0.0

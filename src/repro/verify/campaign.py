@@ -75,7 +75,6 @@ ARTIFACT_SCHEMA = 1
 
 def _cell_subjects(
     scale: VerifyScale, threshold_offset: int,
-    parallel_fastpath: bool = False,
     weakened: str | None = None,
 ):
     """Subject roster for a cell.
@@ -90,7 +89,7 @@ def _cell_subjects(
     if threshold_offset:
         name = f"graphene-weakened+{threshold_offset}"
         return {name: weakened_graphene_subject(scale, threshold_offset)}
-    return core_subjects(scale, parallel_fastpath=parallel_fastpath)
+    return core_subjects(scale)
 
 
 def run_cell(
@@ -101,7 +100,6 @@ def run_cell(
     schemes: Sequence[str],
     scale: Mapping[str, Any],
     threshold_offset: int = 0,
-    parallel_fastpath: bool = False,
     weakened: str | None = None,
 ) -> dict[str, Any]:
     """Run one fuzz cell; returns a JSON-able result dict.
@@ -110,8 +108,7 @@ def run_cell(
     experiment runner (process pools + on-disk cache).  ``scale`` is
     the :meth:`VerifyScale.describe` dict -- it is part of the cache
     key, and must match the current code's derivation (a mismatch means
-    a stale caller, not a tunable).  ``parallel_fastpath`` adds the
-    sharded + chunked fast-engine leg to the ``fastpath`` subject.
+    a stale caller, not a tunable).
     """
     current = DEFAULT_SCALE
     if dict(scale) != current.describe():
@@ -121,10 +118,7 @@ def run_cell(
         )
     spec = StreamSpec(generator=generator, seed=seed, length=length)
     events = generate_stream(spec, current)
-    subjects = _cell_subjects(
-        current, threshold_offset, parallel_fastpath=parallel_fastpath,
-        weakened=weakened,
-    )
+    subjects = _cell_subjects(current, threshold_offset, weakened=weakened)
     skip_mitigation = threshold_offset or weakened is not None
     report = run_stream(
         events,
@@ -210,7 +204,6 @@ def _reproduces(
     scale: VerifyScale,
     threshold_offset: int,
     schemes: Sequence[str],
-    parallel_fastpath: bool = False,
     weakened: str | None = None,
 ):
     """Predicate: does a candidate stream still hit the same failures?"""
@@ -218,8 +211,7 @@ def _reproduces(
     subjects = {
         name: fn
         for name, fn in _cell_subjects(
-            scale, threshold_offset, parallel_fastpath=parallel_fastpath,
-            weakened=weakened,
+            scale, threshold_offset, weakened=weakened
         ).items()
         if name in subject_names
     }
@@ -246,7 +238,6 @@ def run_campaign(
     artifact_dir: str | Path | None = "verify-artifacts",
     threshold_offset: int = 0,
     scale: VerifyScale = DEFAULT_SCALE,
-    parallel_fastpath: bool = False,
     weakened: str | None = None,
 ) -> CampaignReport:
     """Run a budgeted differential-fuzzing campaign.
@@ -268,9 +259,6 @@ def run_campaign(
             that one mutant and skips the mitigation layer.
         scale: Verification scale (must be the default scale for now --
             cells are cached against its ``describe()`` dict).
-        parallel_fastpath: Extend each cell's ``fastpath`` subject with
-            a sharded + chunked fast-engine leg (``verify fuzz
-            --parallel``).
     """
     if budget < 1:
         raise ValueError("campaign budget must be >= 1")
@@ -289,10 +277,8 @@ def run_campaign(
             scale=scale.describe(),
             threshold_offset=threshold_offset,
         )
-        # Only widen the cache key when the optional legs are on, so
+        # Only widen the cache key when the optional leg is on, so
         # existing campaign results keep their addresses.
-        if parallel_fastpath:
-            kwargs["parallel_fastpath"] = True
         if weakened is not None:
             kwargs["weakened"] = weakened
         jobs.append(
@@ -331,16 +317,13 @@ def run_campaign(
         for cell in results:
             if not cell["violations"]:
                 continue
-            path = _shrink_and_save(
-                cell, scale, directory, parallel_fastpath=parallel_fastpath
-            )
+            path = _shrink_and_save(cell, scale, directory)
             report.artifacts.append(str(path))
     return report
 
 
 def _shrink_and_save(
     cell: Mapping[str, Any], scale: VerifyScale, directory: Path,
-    parallel_fastpath: bool = False,
 ) -> Path:
     """Shrink one failing cell's stream and write its reproducer."""
     spec = StreamSpec(
@@ -350,7 +333,6 @@ def _shrink_and_save(
     targets = {(v["subject"], v["kind"]) for v in cell["violations"]}
     failing = _reproduces(
         targets, scale, cell["threshold_offset"], cell["schemes"],
-        parallel_fastpath=parallel_fastpath,
         weakened=cell.get("weakened"),
     )
     reduced = shrink_stream(events, failing)
@@ -440,7 +422,6 @@ def load_artifact(path: str | Path) -> dict[str, Any]:
 
 def replay_artifact(
     path: str | Path, scale: VerifyScale = DEFAULT_SCALE,
-    parallel_fastpath: bool = False,
 ) -> tuple[StreamReport, dict[str, Any]]:
     """Re-run an artifact's stream through the differential executor.
 
@@ -448,9 +429,7 @@ def replay_artifact(
     ``"expect": "pass"`` corpus entries the report must be clean; for
     ``"expect": "fail"`` reproducers it must re-hit at least one of the
     recorded (subject, kind) pairs.  :func:`artifact_verdict` applies
-    that rule.  ``parallel_fastpath`` replays the ``fastpath`` subject
-    with the sharded + chunked fast-engine leg as well (``verify
-    replay --parallel``).
+    that rule.
     """
     artifact = load_artifact(path)
     if artifact["scale"] != scale.describe():
@@ -461,10 +440,7 @@ def replay_artifact(
         )
     offset = artifact.get("threshold_offset", 0)
     weakened = artifact.get("weakened")
-    subjects = _cell_subjects(
-        scale, offset, parallel_fastpath=parallel_fastpath,
-        weakened=weakened,
-    )
+    subjects = _cell_subjects(scale, offset, weakened=weakened)
     schemes = artifact.get("schemes")
     if offset or weakened is not None:
         mitigation: tuple[str, ...] = ()

@@ -475,14 +475,8 @@ def _run_rank(
 
 def core_subjects(
     scale: VerifyScale = DEFAULT_SCALE,
-    parallel_fastpath: bool = False,
 ) -> dict[str, Callable[[Sequence[ActEvent]], tuple[list[Violation], dict]]]:
-    """All core-layer subjects, ready to run one stream each.
-
-    ``parallel_fastpath`` extends the ``fastpath`` subject with a
-    sharded + chunked fast-engine leg (two worker processes) so the
-    multi-core dispatch path is differentially checked too.
-    """
+    """All core-layer subjects, ready to run one stream each."""
     from .fastpath_check import fastpath_subject
 
     subjects: dict[str, Callable] = {
@@ -491,7 +485,7 @@ def core_subjects(
         "abacus": lambda ev: _run_abacus(ev, scale),
         "hardware-vs-logical": lambda ev: _run_hardware_vs_logical(ev, scale),
         "rank": lambda ev: _run_rank(ev, scale),
-        "fastpath": fastpath_subject(scale, parallel=parallel_fastpath),
+        "fastpath": fastpath_subject(scale),
     }
     for kind in TRACKER_KINDS:
         subjects[f"tracker:{kind}"] = (

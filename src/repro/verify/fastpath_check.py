@@ -3,8 +3,10 @@
 The fast path (:mod:`repro.core.fastpath`) promises *byte-identical*
 results, not approximately-equal ones, and since the kernel registry
 covers every scheme in :data:`KERNEL_SCHEMES` the promise is
-per-scheme.  This subject runs every verify stream through both stacks
-once per kernel scheme and compares everything observable:
+per-scheme.  This subject runs every verify stream through the
+reference stack and two fast stacks -- the whole stream at once, and a
+lazy ``ActEvent`` stream in three chunks -- once per kernel scheme and
+compares everything observable:
 
 * the serialized :class:`~repro.sim.metrics.SimulationResult` (which
   folds in latency buckets, bank stats and controller counters),
@@ -42,10 +44,9 @@ _PACE_INTERVAL_NS = 45.0
 
 #: Every scheme with a registered batched kernel; each verify stream is
 #: differentially checked once per entry.  ABACuS declares the
-#: ``cross_bank`` capability, so its ``parallel`` leg exercises the
-#: degrade (still chunked) onto the vectorized cross-bank lane --
-#: ``commit_run_banked`` over interleaved multi-bank segments -- rather
-#: than true sharding.
+#: ``cross_bank`` capability, so both of its fast stacks run on the
+#: vectorized cross-bank lane -- ``commit_run_banked`` over interleaved
+#: multi-bank segments.
 KERNEL_SCHEMES = (
     "graphene", "para", "twice", "cbt", "refresh-rate", "comet", "abacus"
 )
@@ -103,17 +104,14 @@ def _check_scheme(
     paced: Sequence[ActEvent],
     duration_ns: float,
     scale: VerifyScale,
-    parallel: bool = False,
 ) -> tuple[list, dict[str, Any] | None, dict[str, Any]]:
-    """One scheme through the reference stack and one or two fast stacks.
+    """One scheme through the reference stack and both fast stacks.
 
-    With ``parallel`` two more fast stacks run sharded across two
-    persistent pool workers *and* chunked -- the first cold (it spawns
-    the workers), the second warm on the same pool with different chunk
-    boundaries -- so the differential covers the full execution matrix
-    including pool reuse, not just in-process serial fast mode.
-    Returns ``(violations, skipped, stats)``; ``skipped`` is non-None
-    only when the fast controller refused to build.
+    The ``/chunked`` stack streams the events as a lazy iterable in
+    chunks of a third of the stream, so kernel and bank state must
+    carry across chunk boundaries exactly.  Returns ``(violations,
+    skipped, stats)``; ``skipped`` is non-None only when the fast
+    controller refused to build.
     """
     from ..controller.mc import MemoryController
     from ..core.fast_kernels import reference_state
@@ -132,43 +130,18 @@ def _check_scheme(
             track_faults=True,
         )
 
-    # (label-suffix, controller, device, run kwargs) per fast stack.
+    # (label-suffix, controller, device) per fast stack.
     stacks = []
-    fast_device = device()
-    fast, reason = build_fast_controller_ex(
-        fast_device, _mitigation_factory(scheme, trh),
-        keep_directive_log=True,
-    )
-    if fast is None:
-        return [], {"skipped": f"fast path unavailable ({reason})"}, {}
-    stacks.append(("", fast, fast_device, {}))
-    if parallel:
-        shard_device = device()
-        sharded, reason = build_fast_controller_ex(
-            shard_device, _mitigation_factory(scheme, trh),
-            keep_directive_log=True, shard_workers=2,
+    for label in ("", "/chunked"):
+        fast_device = device()
+        fast, reason = build_fast_controller_ex(
+            fast_device, _mitigation_factory(scheme, trh),
+            keep_directive_log=True,
         )
-        if sharded is None:
+        if fast is None:
             return [], {"skipped": f"fast path unavailable ({reason})"}, {}
-        stacks.append((
-            "/sharded", sharded, shard_device,
-            {"chunk_events": max(1, len(paced) // 3)},
-        ))
-        # Pool-reuse leg: a second sharded stack on the *same*
-        # persistent shard pool (the first sharded run warms it), with
-        # a different chunking, so the differential also proves that a
-        # warm pool and moved chunk boundaries change nothing.
-        reuse_device = device()
-        reused, reason = build_fast_controller_ex(
-            reuse_device, _mitigation_factory(scheme, trh),
-            keep_directive_log=True, shard_workers=2,
-        )
-        if reused is None:
-            return [], {"skipped": f"fast path unavailable ({reason})"}, {}
-        stacks.append((
-            "/pool-reuse", reused, reuse_device,
-            {"chunk_events": max(1, len(paced) // 2)},
-        ))
+        stacks.append((label, fast, fast_device))
+    (_, whole, _), (_, chunked, _) = stacks
 
     ref_device = device()
     reference = MemoryController(
@@ -177,8 +150,8 @@ def _check_scheme(
     )
     try:
         reference.run(iter(paced))
-        for _, controller, _, run_kwargs in stacks:
-            controller.run(TraceArray.from_events(paced), **run_kwargs)
+        whole.run(TraceArray.from_events(paced))
+        chunked.run(iter(paced), chunk_events=max(1, len(paced) // 3))
     except Exception as exc:  # noqa: BLE001 - crash capture is the point
         return (
             [Violation(
@@ -190,9 +163,9 @@ def _check_scheme(
 
     last_time_ns = paced[-1].time_ns if paced else 0.0
     stats = {
-        "acts": fast.counters.acts_issued,
-        "directives": fast.counters.nrr_commands,
-        "flips": fast.counters.bit_flips,
+        "acts": whole.counters.acts_issued,
+        "directives": whole.counters.nrr_commands,
+        "flips": whole.counters.bit_flips,
     }
 
     ref_result = _result_dict(
@@ -202,7 +175,7 @@ def _check_scheme(
     ref_log = _directive_rows(reference.directive_log)
     ref_flips = _flip_rows(reference.bit_flips)
 
-    for label, fast, fast_device, _ in stacks:
+    for label, fast, fast_device in stacks:
         tag = f"{scheme}{label}"
         fast_result = _result_dict(
             fast, fast_device, scheme, scale.banks, scale.rows_per_bank,
@@ -280,17 +253,13 @@ def _check_scheme(
 
 def run_fastpath_check(
     events: Sequence[ActEvent], scale: VerifyScale,
-    parallel: bool = False,
 ) -> tuple[list, dict[str, Any]]:
     """Run one stream through both engines for every kernel scheme.
 
     Any difference for any scheme is a bug; the first divergence is
     returned (with the scheme named in the detail) so the shrinker has
     one addressable failure to minimize.  ``stats`` aggregates across
-    schemes and records the roster size.  With ``parallel`` each scheme
-    additionally runs two sharded + chunked fast stacks -- cold pool,
-    then warm pool with moved chunk boundaries -- against the same
-    reference.
+    schemes and records the roster size.
     """
     paced = [
         ActEvent(index * _PACE_INTERVAL_NS, event.bank, event.row)
@@ -301,7 +270,7 @@ def run_fastpath_check(
     totals = {"acts": 0, "directives": 0, "flips": 0}
     for scheme in KERNEL_SCHEMES:
         violations, skipped, stats = _check_scheme(
-            scheme, paced, duration_ns, scale, parallel=parallel
+            scheme, paced, duration_ns, scale
         )
         if skipped is not None:
             # Telemetry bus installed: the fast path correctly refuses
@@ -316,6 +285,6 @@ def run_fastpath_check(
     return [], totals
 
 
-def fastpath_subject(scale: VerifyScale, parallel: bool = False):
+def fastpath_subject(scale: VerifyScale):
     """Subject-roster entry (shape matches ``core_subjects`` values)."""
-    return lambda ev: run_fastpath_check(ev, scale, parallel=parallel)
+    return lambda ev: run_fastpath_check(ev, scale)

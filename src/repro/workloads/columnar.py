@@ -27,9 +27,7 @@ expression at each affected element.  The tests in
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,9 +37,6 @@ from .trace import ActEvent, TraceStats
 
 __all__ = [
     "TraceArray",
-    "SharedTraceMeta",
-    "export_shared_trace",
-    "attach_shared_trace",
     "iter_chunk_arrays",
     "pace_array",
     "merge_arrays",
@@ -183,95 +178,6 @@ class TraceArray:
         if len(self) < 2:
             return True
         return bool(np.all(np.diff(self.time_ns) >= 0.0))
-
-
-# ----------------------------------------------------------------------
-# Zero-copy trace shipping via POSIX shared memory
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SharedTraceMeta:
-    """Pickle-cheap handle describing one exported trace segment.
-
-    The three columns live back to back in a single
-    :class:`multiprocessing.shared_memory.SharedMemory` segment:
-    ``time_ns`` (float64) at byte offset 0, ``bank`` (int64) at
-    ``8 * events``, ``row`` (int64) at ``16 * events``.  Only this
-    24-byte-ish handle crosses the IPC channel; the event payload is
-    mapped, never copied.
-    """
-
-    name: str
-    events: int
-
-
-def export_shared_trace(
-    trace: TraceArray,
-) -> tuple[SharedTraceMeta, shared_memory.SharedMemory]:
-    """Copy ``trace`` into a fresh shared-memory segment.
-
-    Returns the meta handle plus the segment object.  The caller owns
-    the segment's lifetime: ``close()`` *and* ``unlink()`` it once every
-    attached worker is done with the chunk(s) it covers (the shard pool
-    tracks this; on Linux an unlink with live attachments is safe --
-    the mapping survives until the last ``close()``).
-    """
-    n = len(trace)
-    name = f"repro-trace-{secrets.token_hex(8)}"
-    segment = shared_memory.SharedMemory(
-        name=name, create=True, size=max(1, 24 * n)
-    )
-    if n:
-        time_view = np.ndarray(n, dtype=np.float64, buffer=segment.buf)
-        bank_view = np.ndarray(
-            n, dtype=np.int64, buffer=segment.buf, offset=8 * n
-        )
-        row_view = np.ndarray(
-            n, dtype=np.int64, buffer=segment.buf, offset=16 * n
-        )
-        np.copyto(time_view, trace.time_ns)
-        np.copyto(bank_view, trace.bank)
-        np.copyto(row_view, trace.row)
-    return SharedTraceMeta(name=name, events=n), segment
-
-
-def attach_shared_trace(
-    meta: SharedTraceMeta,
-) -> tuple[TraceArray, shared_memory.SharedMemory]:
-    """Map an exported trace inside a worker process (zero-copy).
-
-    Returns a :class:`TraceArray` whose columns are views into the
-    mapping plus the segment object the caller must keep alive while
-    the views are in use and ``close()`` (never ``unlink()`` -- the
-    exporting side owns destruction) afterwards.
-    """
-    # Attaching must not register the segment with the resource
-    # tracker: the parent is the sole owner (bpo-38119), and a forked
-    # worker usually *shares* the parent's tracker process, so the
-    # register/unregister pair this side would emit cancels the
-    # parent's claim in the shared cache -- the parent's eventual
-    # unlink then hits a tracker KeyError and, between the two, a
-    # crashed parent would leak the segment.  Python 3.13 grows
-    # ``track=False`` for exactly this; below that, suppressing the
-    # register call during attach is the documented workaround.  The
-    # attach side never touches other trackable resources here, and
-    # shard workers are single-threaded, so the swap cannot swallow an
-    # unrelated registration.
-    register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        segment = shared_memory.SharedMemory(name=meta.name)
-    finally:
-        resource_tracker.register = register
-    n = meta.events
-    if n == 0:
-        return TraceArray.empty(), segment
-    trace = TraceArray(
-        time_ns=np.ndarray(n, dtype=np.float64, buffer=segment.buf),
-        bank=np.ndarray(n, dtype=np.int64, buffer=segment.buf, offset=8 * n),
-        row=np.ndarray(n, dtype=np.int64, buffer=segment.buf, offset=16 * n),
-    )
-    return trace, segment
 
 
 def iter_chunk_arrays(

@@ -103,6 +103,17 @@ class TestCampaignSpec:
         path.write_text(json.dumps(TINY), encoding="utf-8")
         assert load_spec(path).digest() == tiny_spec().digest()
 
+    def test_spec_file_with_removed_shard_workers_is_rejected(self, tmp_path):
+        """Specs written for the removed lane-sharding knob fail loudly
+        instead of silently running unsharded."""
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps({**TINY, "engine": "fast", "shard_workers": 2}),
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="unknown campaign spec fields"):
+            load_spec(path)
+
 
 # ----------------------------------------------------------------------
 # Manifest

@@ -300,8 +300,6 @@ class TestFastControllerConstruction:
             kernel = kernel_for(engine)
             assert kernel is not None, scheme
             assert kernel.stats is not None
-            snapshot = kernel.snapshot()
-            kernel.restore(snapshot)
             assert kernel.table_state() is not None
 
 def _round_robin_trace(banks: int = 8, acts_per_bank: int = 3000,
