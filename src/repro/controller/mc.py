@@ -110,8 +110,13 @@ class MemoryController:
 
     def step(self, event: ActEvent) -> list[RefreshDirective]:
         """Process one ACT end to end; returns directives it caused."""
+        engines = self.engines
+        if not 0 <= event.bank < len(engines):
+            raise IndexError(
+                f"bank {event.bank} out of range [0, {len(engines)})"
+            )
         bank_model = self.device.bank(event.bank)
-        engine = self.engines[event.bank]
+        engine = engines[event.bank]
 
         # 1. Schedule the ACT at the first legal time; the wait (bank
         #    blocked by refresh/NRR/tRC) is the performance overhead.

@@ -1,4 +1,4 @@
-"""Batched kernels for the non-Graphene mitigation schemes.
+"""Batched kernels for every mitigation scheme the fast engine covers.
 
 Each kernel here *wraps the live reference engine* rather than
 replicating it: the scalar path delegates straight to
@@ -8,6 +8,19 @@ boundary event runs the exact reference logic on the real state), and
 to that same state that are provably equal to replaying the events one
 at a time.  The per-scheme batching arguments:
 
+* **Graphene** keeps a Misra-Gries table.  A run of hits to tracked
+  rows commits in numpy (per-row ``+= occurrences``) up to the first
+  miss; from there an exact pure-Python Misra-Gries loop on the same
+  table continues through hits, inserts into free slots,
+  evict-and-carry replacements and spillover bumps.  Either phase
+  truncates before the first event whose new count lands on a multiple
+  of ``T`` -- that event replays scalar and emits the directive.  The
+  reference evicts ``min`` of the spillover bucket; the kernel instead
+  reads the front of one sorted snapshot of that bucket per (window,
+  spillover) epoch, skipping keys whose count has moved on.  No key can
+  *join* the bucket inside an epoch (inserts land at spillover + 1 and
+  counts never fall), so the snapshot's first live key is the bucket's
+  minimum.
 * **PARA** is stateless apart from its RNG, so a run of ACTs with no
   successful draw is a pure no-op.  ``Generator.random(n)`` consumes
   the same PCG64 double stream as ``n`` scalar ``.random()`` calls
@@ -34,8 +47,9 @@ at a time.  The per-scheme batching arguments:
   the update is a ``bincount`` over leaf indices.  The counter pool
   only grows within a window, so "a free counter exists" is constant
   across the batch too.
-* **refresh-rate** does all its work at REF ticks; ACTs are pure
-  no-ops, so the whole run commits unconditionally.
+* **refresh-rate** does all its work at REF ticks and **none** does no
+  work at all; their ACTs are pure no-ops, so the whole run commits
+  unconditionally.
 * **CoMeT** splits rows into the exact-count RAT and the sketch.  RAT
   entries batch exactly like TWiCe's (truncate before the first entry
   that would reach the threshold).  Each distinct *non*-RAT row is
@@ -86,19 +100,23 @@ from ..mitigations.base import MitigationEngine, RefreshDirective
 from ..mitigations.cbt import CBT
 from ..mitigations.comet import CoMeTMitigation
 from ..mitigations.graphene import GrapheneMitigation
+from ..mitigations.none import NoMitigation
 from ..mitigations.para import PARA
 from ..mitigations.refresh_rate import IncreasedRefreshRate
 from ..mitigations.twice import TWiCe, _Entry
-from .fastpath import register_kernel, reference_table_state
+from .fastpath import register_kernel
 
 __all__ = [
+    "FastGrapheneKernel",
     "FastParaKernel",
     "FastTwiceKernel",
     "FastCbtKernel",
     "FastRefreshRateKernel",
     "FastCometKernel",
     "FastAbacusKernel",
+    "FastNoneKernel",
     "reference_state",
+    "reference_table_state",
 ]
 
 
@@ -130,6 +148,155 @@ class _WrappedKernel:
 
     def describe(self) -> str:
         return self.mitigation.describe()
+
+
+class FastGrapheneKernel(_WrappedKernel):
+    """Graphene's Misra-Gries table: bulk hits, then an exact miss loop.
+
+    Commits straight into the wrapped engine's
+    :class:`~repro.core.misra_gries.MisraGriesTable` (counts, count
+    buckets, spillover) and both stats layers -- the mitigation's
+    :class:`~repro.mitigations.base.MitigationStats` and the engine's
+    :class:`~repro.core.graphene.GrapheneStats` -- for exactly the ACTs
+    committed.  Window resets happen only on the scalar path: the batch
+    never crosses :meth:`next_blocking_ns`.
+    """
+
+    def __init__(self, mitigation: GrapheneMitigation) -> None:
+        super().__init__(mitigation)
+        self._engine = mitigation.engine
+        #: Sorted snapshot of the spillover bucket, the (window resets,
+        #: spillover) epoch it was taken in, and the read position.
+        self._evict_epoch: tuple[int, int] | None = None
+        self._evict_order: list[int] = []
+        self._evict_next = 0
+
+    def next_blocking_ns(self) -> float:
+        engine = self._engine
+        return (engine.current_window + 1) * engine._window_length_ns
+
+    def commit_run(
+        self, times: np.ndarray, rows: np.ndarray
+    ) -> tuple[int, list[RefreshDirective]]:
+        engine = self._engine
+        table = engine.table
+        counts = table._counts
+        buckets = table._buckets
+        threshold = engine.threshold
+        n = len(rows)
+
+        # Phase 1 (numpy): hits to tracked rows up to the first miss.
+        # Tracked counts are >= 1, so a 0 base marks an untracked row.
+        uniq, inverse = np.unique(rows, return_inverse=True)
+        base = np.fromiter(
+            (counts.get(int(u), 0) for u in uniq),
+            dtype=np.int64,
+            count=len(uniq),
+        )
+        missing = base == 0
+        extent = int(np.argmax(missing[inverse])) if missing.any() else n
+        crossed = False
+        if extent:
+            occurrences = np.bincount(inverse[:extent], minlength=len(uniq))
+            to_next_multiple = threshold - base % threshold
+            crossing = (occurrences >= to_next_multiple) & ~missing
+            if crossing.any():
+                crossed = True
+                prefix = inverse[:extent]
+                for u in np.flatnonzero(crossing):
+                    positions = np.flatnonzero(prefix == u)
+                    extent = min(
+                        extent, int(positions[int(to_next_multiple[u]) - 1])
+                    )
+                occurrences = np.bincount(
+                    inverse[:extent], minlength=len(uniq)
+                )
+            for u in np.flatnonzero(occurrences):
+                old = int(base[u])
+                table._move(int(uniq[u]), old, old + int(occurrences[u]))
+        hits = extent
+        inserts = bumps = 0
+        consumed = extent
+
+        # Phase 2 (Python): MisraGriesTable.observe, operation for
+        # operation, from the first miss on.
+        if not crossed and extent < n:
+            capacity = table.capacity
+            spillover = table.spillover
+            evicted = None
+            for row in rows[extent:].tolist():
+                count = counts.get(row)
+                if count is not None:
+                    new = count + 1
+                    if new % threshold == 0:
+                        break
+                    bucket = buckets[count]
+                    bucket.discard(row)
+                    if not bucket:
+                        del buckets[count]
+                    hits += 1
+                elif len(counts) < capacity:
+                    new = 1
+                    if threshold == 1:
+                        break
+                    inserts += 1
+                else:
+                    victim = self._evictable(counts, buckets, spillover)
+                    if victim is None:
+                        spillover += 1
+                        bumps += 1
+                        consumed += 1
+                        continue
+                    new = spillover + 1
+                    if new % threshold == 0:
+                        break
+                    del counts[victim]
+                    bucket = buckets[spillover]
+                    bucket.discard(victim)
+                    if not bucket:
+                        del buckets[spillover]
+                    evicted = victim
+                    inserts += 1
+                counts[row] = new
+                bucket = buckets.get(new)
+                if bucket is None:
+                    buckets[new] = {row}
+                else:
+                    bucket.add(row)
+                consumed += 1
+            table.spillover = spillover
+            if evicted is not None:
+                table.last_evicted = evicted
+
+        if consumed:
+            table.observations += consumed
+            gstats = engine.stats
+            gstats.activations += consumed
+            gstats.table_hits += hits
+            gstats.table_insertions += inserts
+            gstats.spillover_increments += bumps
+            self.stats.activations += consumed
+        return consumed, []
+
+    def _evictable(self, counts, buckets, spillover: int) -> int | None:
+        """The smallest key whose count equals ``spillover``, or None.
+
+        Equal to the reference's ``min(buckets[spillover])``: the
+        snapshot is taken once per epoch, and inside an epoch keys only
+        ever leave the bucket (hit, eviction), so skipping entries whose
+        count moved on leaves the bucket's current minimum in front.
+        """
+        epoch = (self._engine.stats.window_resets, spillover)
+        if epoch != self._evict_epoch:
+            self._evict_epoch = epoch
+            self._evict_order = sorted(buckets.get(spillover, ()))
+            self._evict_next = 0
+        order = self._evict_order
+        index = self._evict_next
+        while index < len(order) and counts.get(order[index]) != spillover:
+            index += 1
+        self._evict_next = index
+        return order[index] if index < len(order) else None
 
 
 class FastParaKernel(_WrappedKernel):
@@ -311,8 +478,8 @@ class FastCbtKernel(_WrappedKernel):
         return extent, []
 
 
-class FastRefreshRateKernel(_WrappedKernel):
-    """Refresh-rate ACTs are no-ops; commit the whole run."""
+class _ActTransparentKernel(_WrappedKernel):
+    """A scheme whose ACTs are no-ops; commit the whole run."""
 
     #: ACTs never change this scheme's decisions, so a zero-consumption
     #: vector failure is always a *timing* boundary (REF pop, blocked
@@ -320,14 +487,22 @@ class FastRefreshRateKernel(_WrappedKernel):
     #: scalar back-off and retries vectorizing immediately.
     act_transparent = True
 
-    def __init__(self, mitigation: IncreasedRefreshRate) -> None:
-        super().__init__(mitigation)
-
     def commit_run(
         self, times: np.ndarray, rows: np.ndarray
     ) -> tuple[int, list[RefreshDirective]]:
         self.stats.activations += len(rows)
         return len(rows), []
+
+
+class FastRefreshRateKernel(_ActTransparentKernel):
+    """Refresh-rate does all its work at REF ticks."""
+
+
+class FastNoneKernel(_ActTransparentKernel):
+    """The unprotected baseline tracks nothing.
+
+    Its own class (not the refresh-rate kernel's) so per-scheme kernel
+    accounting never mixes the two."""
 
 
 class FastCometKernel(_WrappedKernel):
@@ -702,15 +877,27 @@ class FastAbacusKernel(_WrappedKernel):
             t = step
 
 
+def reference_table_state(mitigation: GrapheneMitigation) -> dict[str, object]:
+    """A Graphene engine's Misra-Gries table snapshot."""
+    table = mitigation.engine.table
+    return {
+        "tracked": table.tracked(),
+        "spillover": table.spillover,
+        "observations": table.observations,
+        "window": mitigation.engine.current_window,
+    }
+
+
 def reference_state(engine: Any) -> dict[str, Any]:
     """Comparable tracking-table snapshot for any kernel-covered scheme.
 
     Works on both the reference engine objects and the fast kernels'
-    wrapped engines (they are the same classes); Graphene's replicated
-    kernel implements the equivalent ``table_state`` itself.
+    wrapped engines (they are the same classes).
     """
     if isinstance(engine, GrapheneMitigation):
         return reference_table_state(engine)
+    if isinstance(engine, NoMitigation):
+        return {"activations": engine.stats.activations}
     if isinstance(engine, PARA):
         return {
             "rng": engine._rng.bit_generator.state,
@@ -769,9 +956,11 @@ def reference_state(engine: Any) -> dict[str, Any]:
     raise TypeError(f"no reference state extractor for {type(engine)!r}")
 
 
+register_kernel(GrapheneMitigation, FastGrapheneKernel)
 register_kernel(PARA, FastParaKernel)
 register_kernel(TWiCe, FastTwiceKernel)
 register_kernel(CBT, FastCbtKernel)
 register_kernel(IncreasedRefreshRate, FastRefreshRateKernel)
 register_kernel(CoMeTMitigation, FastCometKernel)
 register_kernel(AbacusMitigation, FastAbacusKernel)
+register_kernel(NoMitigation, FastNoneKernel)

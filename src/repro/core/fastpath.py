@@ -11,10 +11,9 @@ module provides the same semantics in batch form:
   operation-for-operation, plus :meth:`~FastKernel.commit_run`, which
   consumes a *prefix* of a pre-validated event run in bulk;
 * a **kernel registry** (:func:`register_kernel` / :func:`kernel_for`)
-  mapping mitigation-engine types to kernel factories.  Graphene's
-  kernel lives here (:class:`FastGrapheneBank` over
-  :class:`FastMisraGries`); PARA, TWiCe, CBT and refresh-rate kernels
-  live in :mod:`repro.core.fast_kernels` and are registered lazily;
+  mapping mitigation-engine types to kernel factories.  Every built-in
+  kernel lives in :mod:`repro.core.fast_kernels` and registers on the
+  first lookup;
 * :class:`FastMemoryController` -- consumes a columnar
   :class:`~repro.workloads.columnar.TraceArray`, partitions it into
   **per-bank lanes** (banks are independent between blocking events),
@@ -51,10 +50,10 @@ contents, same bit flips.  This is possible because:
 * a vector segment is truncated before the first auto-refresh pop or
   scheme blocking boundary (:meth:`FastKernel.next_blocking_ns`), and
   each kernel's ``commit_run`` truncates before the first event whose
-  outcome the bulk update cannot reproduce (table miss, threshold
-  crossing, RNG success, tree split); those events take the scalar
-  path, so all blocking/eviction/NRR decisions are made by the exact
-  reference logic;
+  outcome the bulk update cannot reproduce (threshold crossing, RNG
+  success, tree split, and for some schemes a table miss); those
+  events take the scalar path, so every blocking and NRR decision is
+  made by the exact reference logic;
 * the per-event latency delays of *all* lanes land in one global
   scatter array and fold into :class:`LatencyTracker` afterwards with
   a seeded sequential cumsum over the positive entries in global event
@@ -64,7 +63,8 @@ contents, same bit flips.  This is possible because:
 
 The fast path never runs when a telemetry bus is installed (per-event
 telemetry would be skipped) or when any bank's scheme has no
-registered kernel; :func:`build_fast_controller` returns ``None`` (and
+registered kernel (PRoHIT, MRLoc, CRA and the oracle; every scheme of
+Fig. 8 has one); :func:`build_fast_controller` returns ``None`` (and
 :func:`build_fast_controller_ex` additionally names the reason) and
 callers fall back to the reference engine.  ``docs/performance.md``
 ("Hot path") documents the design, the per-scheme kernel coverage and
@@ -89,22 +89,17 @@ from ..mitigations.base import (
     MitigationStats,
     RefreshDirective,
 )
-from ..mitigations.graphene import GrapheneMitigation
 from ..telemetry import runtime as _telemetry
 from ..workloads.columnar import TraceArray, iter_chunk_arrays
-from .graphene import GrapheneStats
 
 __all__ = [
     "FastKernel",
-    "FastMisraGries",
-    "FastGrapheneBank",
     "FastMemoryController",
     "register_kernel",
     "kernel_for",
     "kernel_schemes",
     "build_fast_controller",
     "build_fast_controller_ex",
-    "reference_table_state",
 ]
 
 #: Maximum events examined per vector attempt (bounds temporary arrays).
@@ -129,10 +124,10 @@ _WINDOW_MARGIN_NS = 1e-3
 class FastKernel(Protocol):
     """What a scheme implements to join the batch engine.
 
-    One kernel instance wraps (or replicates) one bank's mitigation
-    engine.  The controller owns all *timing* decisions -- issue-time
-    regimes, REF truncation, bank-state commit -- and hands the kernel
-    only the *tracking* phase.  The contract every method must honor is
+    One kernel instance wraps one bank's live mitigation engine.  The
+    controller owns all *timing* decisions -- issue-time regimes, REF
+    truncation, bank-state commit -- and hands the kernel only the
+    *tracking* phase.  The contract every method must honor is
     bit-identical equivalence with the reference engine.
     """
 
@@ -153,9 +148,10 @@ class FastKernel(Protocol):
 
     #: Optional capability (``getattr`` default ``False``): ``True``
     #: when ACTs cannot change the kernel's tracking decisions at all
-    #: (refresh-rate -- all its work happens at REF ticks), so a failed
-    #: vector attempt is always a *timing* boundary and never a reason
-    #: to back off into a scalar run.
+    #: (refresh-rate, whose work happens at REF ticks, and the
+    #: unprotected ``none``), so a failed vector attempt is always a
+    #: *timing* boundary and never a reason to back off into a scalar
+    #: run.
     act_transparent: bool
 
     def on_activate(self, row: int, time_ns: float) -> list[RefreshDirective]:
@@ -244,283 +240,6 @@ def kernel_schemes() -> tuple[str, ...]:
             for engine_type in _KERNEL_REGISTRY
         )
     )
-
-
-class FastMisraGries:
-    """Misra-Gries summary over preallocated arrays.
-
-    Scalar :meth:`observe` matches
-    :meth:`repro.core.misra_gries.MisraGriesTable.observe` decision-for-
-    decision, including the smallest-key eviction tie-break (``min``
-    over entries whose count equals the spillover count); the vector
-    path in :meth:`FastGrapheneBank.commit_run` additionally bumps
-    counts of already-tracked rows in bulk.  All counts are exact
-    integers, so "bit-for-bit" here is simply "the same integers".
-    """
-
-    __slots__ = (
-        "capacity",
-        "keys",
-        "counts",
-        "slot_of",
-        "size",
-        "spillover",
-        "observations",
-        "last_evicted",
-    )
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.keys = np.zeros(capacity, dtype=np.int64)
-        self.counts = np.zeros(capacity, dtype=np.int64)
-        #: row -> slot index; the CAM lookup.
-        self.slot_of: dict[int, int] = {}
-        self.size = 0
-        self.spillover = 0
-        self.observations = 0
-        self.last_evicted: int | None = None
-
-    def observe(self, item: int) -> int | None:
-        """Process one row; mirrors ``MisraGriesTable.observe``."""
-        self.observations += 1
-        slot = self.slot_of.get(item)
-        if slot is not None:
-            new = int(self.counts[slot]) + 1
-            self.counts[slot] = new
-            return new
-        if self.size < self.capacity:
-            slot = self.size
-            self.keys[slot] = item
-            self.counts[slot] = 1
-            self.slot_of[item] = slot
-            self.size += 1
-            return 1
-        spillover = self.spillover
-        candidates = np.flatnonzero(self.counts[: self.size] == spillover)
-        if len(candidates):
-            # Smallest key among replaceable entries -- keys are
-            # distinct, so argmin picks the unique minimum, same as
-            # ``min(replaceable)`` over the reference's bucket set.
-            slot = int(candidates[np.argmin(self.keys[candidates])])
-            evicted = int(self.keys[slot])
-            del self.slot_of[evicted]
-            self.keys[slot] = item
-            self.counts[slot] = spillover + 1
-            self.slot_of[item] = slot
-            self.last_evicted = evicted
-            return spillover + 1
-        self.spillover = spillover + 1
-        return None
-
-    def reset(self) -> None:
-        self.slot_of.clear()
-        self.size = 0
-        self.spillover = 0
-        self.observations = 0
-        self.last_evicted = None
-
-    def __contains__(self, item: int) -> bool:
-        return item in self.slot_of
-
-    def __len__(self) -> int:
-        return self.size
-
-    def estimated_count(self, item: int) -> int:
-        slot = self.slot_of.get(item)
-        return 0 if slot is None else int(self.counts[slot])
-
-    def tracked(self) -> dict[int, int]:
-        """Snapshot identical to ``MisraGriesTable.tracked()``."""
-        return {
-            int(self.keys[i]): int(self.counts[i]) for i in range(self.size)
-        }
-
-
-class FastGrapheneBank:
-    """One bank's Graphene engine over the array kernel.
-
-    Replicates the ``MitigationEngine.on_activate`` ->
-    ``GrapheneMitigation._process_activation`` ->
-    ``GrapheneEngine.on_activate`` chain exactly (validation order,
-    stats increments, lazy window reset, directive fields), while
-    keeping the reference's two stats layers: :attr:`stats`
-    (:class:`~repro.mitigations.base.MitigationStats`, read by
-    ``simulate``) and :attr:`gstats`
-    (:class:`~repro.core.graphene.GrapheneStats`).  Implements the
-    :class:`FastKernel` protocol; its :meth:`commit_run` batches pure
-    table hits below their next threshold multiple.
-    """
-
-    name = "graphene"
-
-    def __init__(self, mitigation: GrapheneMitigation) -> None:
-        self.config = mitigation.config
-        self.bank = mitigation.bank
-        self.rows = mitigation.rows
-        self.threshold = self.config.tracking_threshold
-        self.window_len = self.config.reset_window_ns
-        self.blast_radius = self.config.blast_radius
-        self.kernel = FastMisraGries(self.config.num_entries)
-        self.stats = MitigationStats()
-        self.gstats = GrapheneStats()
-        self.current_window = 0
-
-    # ------------------------------------------------------------------
-    # Scalar path (exact reference replay)
-    # ------------------------------------------------------------------
-
-    def on_activate(self, row: int, time_ns: float) -> list[RefreshDirective]:
-        if not 0 <= row < self.rows:
-            raise IndexError(f"row {row} out of range [0, {self.rows})")
-        self.stats.activations += 1
-        if time_ns < 0:
-            raise ValueError("time must be non-negative")
-        self._maybe_reset(time_ns)
-        self.gstats.activations += 1
-
-        kernel = self.kernel
-        was_tracked = row in kernel.slot_of
-        new_count = kernel.observe(row)
-        if new_count is None:
-            self.gstats.spillover_increments += 1
-            return []
-        if was_tracked:
-            self.gstats.table_hits += 1
-        else:
-            self.gstats.table_insertions += 1
-        if new_count % self.threshold != 0:
-            return []
-
-        victims = self.victim_rows_of(row)
-        self.gstats.victim_refresh_requests += 1
-        self.gstats.victim_rows_refreshed += len(victims)
-        directives = [
-            RefreshDirective(
-                bank=self.bank,
-                victim_rows=victims,
-                time_ns=time_ns,
-                aggressor_row=row,
-                reason=f"T x {new_count // self.threshold}",
-            )
-        ]
-        self.stats.record(directives)
-        return directives
-
-    def on_refresh_command(self, time_ns: float) -> list[RefreshDirective]:
-        return []
-
-    def victim_rows_of(self, aggressor_row: int) -> tuple[int, ...]:
-        return tuple(
-            victim
-            for distance in range(1, self.blast_radius + 1)
-            for victim in (aggressor_row - distance, aggressor_row + distance)
-            if 0 <= victim < self.rows
-        )
-
-    def _maybe_reset(self, time_ns: float) -> None:
-        window = int(time_ns // self.window_len)
-        if window != self.current_window:
-            if window < self.current_window:
-                raise ValueError(
-                    f"time moved backwards across windows: window {window} "
-                    f"after window {self.current_window}"
-                )
-            self.kernel.reset()
-            self.gstats.window_resets += 1
-            self.current_window = window
-
-    # ------------------------------------------------------------------
-    # FastKernel batch interface
-    # ------------------------------------------------------------------
-
-    def next_blocking_ns(self) -> float:
-        return (self.current_window + 1) * self.window_len
-
-    def commit_run(
-        self, times: np.ndarray, rows: np.ndarray
-    ) -> tuple[int, list[RefreshDirective]]:
-        """Misra-Gries bulk phase: only already-tracked rows (pure
-        hits) below their next threshold multiple may be batched.  The
-        first miss or crossing truncates; that event replays scalar."""
-        kernel = self.kernel
-        threshold = self.threshold
-        extent = len(rows)
-        uniq, inverse = np.unique(rows, return_inverse=True)
-        slots = np.fromiter(
-            (kernel.slot_of.get(int(u), -1) for u in uniq),
-            dtype=np.int64,
-            count=len(uniq),
-        )
-        missing = slots < 0
-        if missing.any():
-            extent = min(extent, int(np.argmax(missing[inverse])))
-            if extent == 0:
-                return 0, []
-        inverse = inverse[:extent]
-        occurrences = np.bincount(inverse, minlength=len(uniq))
-        base = kernel.counts[np.where(missing, 0, slots)]
-        to_next_multiple = threshold - base % threshold
-        crossing = (
-            (occurrences >= to_next_multiple) & ~missing & (occurrences > 0)
-        )
-        if crossing.any():
-            first_trigger = extent
-            for u in np.flatnonzero(crossing):
-                positions = np.flatnonzero(inverse == u)
-                event_index = int(positions[int(to_next_multiple[u]) - 1])
-                if event_index < first_trigger:
-                    first_trigger = event_index
-            extent = first_trigger
-            if extent == 0:
-                return 0, []
-            inverse = inverse[:extent]
-            occurrences = np.bincount(inverse, minlength=len(uniq))
-
-        bumped = np.flatnonzero(occurrences)
-        # Distinct rows -> distinct slots, so fancy in-place add is safe.
-        kernel.counts[slots[bumped]] += occurrences[bumped]
-        kernel.observations += extent
-        self.gstats.activations += extent
-        self.gstats.table_hits += extent
-        self.stats.activations += extent
-        return extent, []
-
-    # ------------------------------------------------------------------
-    # Parity helpers
-    # ------------------------------------------------------------------
-
-    def table_bits(self) -> int:
-        return self.config.table_bits_per_bank
-
-    def describe(self) -> str:
-        return (
-            f"graphene(T={self.config.tracking_threshold}, "
-            f"N={self.config.num_entries}, k={self.config.k}, "
-            f"radius={self.config.blast_radius})"
-        )
-
-    def table_state(self) -> dict[str, object]:
-        """Comparable snapshot for differential checks."""
-        return {
-            "tracked": self.kernel.tracked(),
-            "spillover": self.kernel.spillover,
-            "observations": self.kernel.observations,
-            "window": self.current_window,
-        }
-
-
-def reference_table_state(mitigation: GrapheneMitigation) -> dict[str, object]:
-    """The reference engine's snapshot in :meth:`FastGrapheneBank.table_state`
-    form, for divergence comparisons."""
-    table = mitigation.engine.table
-    return {
-        "tracked": table.tracked(),
-        "spillover": table.spillover,
-        "observations": table.observations,
-        "window": mitigation.engine.current_window,
-    }
 
 
 class _LaneEngine:
@@ -870,19 +589,26 @@ class FastMemoryController:
         else:
             chunks = [TraceArray.from_events(events)]
         for chunk in chunks:
-            self._run_chunk(self._check_rows(chunk))
+            self._run_chunk(self._check_addresses(chunk))
 
-    def _check_rows(self, trace: TraceArray) -> TraceArray:
-        """Raise the reference's ``IndexError`` for the first bad row.
+    def _check_addresses(self, trace: TraceArray) -> TraceArray:
+        """Raise the reference's ``IndexError`` for the first bad event.
 
-        Vector commits never call the bank model's ``activate`` (the
-        reference's range check), so one O(n) check per chunk stands
-        in for it.
+        The reference checks an event's bank in ``MemoryController.step``
+        and its row in the bank model's ``activate``; vector commits
+        reach neither, so one O(n) check per chunk stands in for both,
+        in the same order.
         """
+        banks = len(self.engines)
         rows = self.device.geometry.rows_per_bank
-        bad = (trace.row < 0) | (trace.row >= rows)
+        bad_bank = (trace.bank < 0) | (trace.bank >= banks)
+        bad = bad_bank | (trace.row < 0) | (trace.row >= rows)
         if bad.any():
-            row = int(trace.row[int(np.argmax(bad))])
+            first = int(np.argmax(bad))
+            if bad_bank[first]:
+                bank = int(trace.bank[first])
+                raise IndexError(f"bank {bank} out of range [0, {banks})")
+            row = int(trace.row[first])
             raise IndexError(f"row {row} out of range [0, {rows})")
         return trace
 
@@ -1452,8 +1178,3 @@ def build_fast_controller(
         device, factory, keep_directive_log
     )
     return controller
-
-
-# Graphene's kernel lives in this module; the rest register from
-# repro.core.fast_kernels on first lookup.
-register_kernel(GrapheneMitigation, FastGrapheneBank)

@@ -14,7 +14,8 @@ compares everything observable:
 * every recorded :class:`~repro.dram.faults.BitFlip`,
 * each bank's final tracking-table state (Misra-Gries table, TWiCe
   entry table, CBT leaf partition, PARA generator state, refresh-rate
-  pointer -- see :func:`repro.core.fast_kernels.reference_state`).
+  pointer, the unprotected baseline's ACT count -- see
+  :func:`repro.core.fast_kernels.reference_state`).
 
 PARA is probabilistic but the comparison is still exact: both stacks
 build their engines from the same seeded factory, and the kernel
@@ -46,9 +47,12 @@ _PACE_INTERVAL_NS = 45.0
 #: differentially checked once per entry.  ABACuS declares the
 #: ``cross_bank`` capability, so both of its fast stacks run on the
 #: vectorized cross-bank lane -- ``commit_run_banked`` over interleaved
-#: multi-bank segments.
+#: multi-bank segments.  The unprotected ``none`` is the entry whose
+#: hammering streams actually flip bits, so it is what checks the vector
+#: path's fault-referee feed against the reference.
 KERNEL_SCHEMES = (
-    "graphene", "para", "twice", "cbt", "refresh-rate", "comet", "abacus"
+    "graphene", "para", "twice", "cbt", "refresh-rate", "comet", "abacus",
+    "none",
 )
 
 

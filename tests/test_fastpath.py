@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.config import GrapheneConfig
+from repro.core.fast_kernels import FastGrapheneKernel, reference_table_state
 from repro.core.fastpath import (
-    FastGrapheneBank,
-    FastMisraGries,
     build_fast_controller,
     build_fast_controller_ex,
     kernel_for,
     kernel_schemes,
-    reference_table_state,
 )
 from repro.core.misra_gries import MisraGriesTable
 from repro.dram.timing import DDR4_2400
@@ -40,77 +39,149 @@ def _adversarial_items(seed: int, n: int, keys: int = 12) -> list[int]:
     return [rng.randrange(keys) for _ in range(n)]
 
 
+def _graphene_pair(threshold: int = 1000, capacity: int | None = None):
+    """A reference Graphene engine and the fast kernel over a twin.
+
+    ``capacity`` swaps both engines' tables for one of that size (the
+    derived ``N`` is in the hundreds at DDR4 timings)."""
+    config = GrapheneConfig(hammer_threshold=threshold)
+    reference = GrapheneMitigation(0, 65536, config)
+    fast_inner = GrapheneMitigation(0, 65536, config)
+    if capacity is not None:
+        reference.engine.table = MisraGriesTable(capacity)
+        fast_inner.engine.table = MisraGriesTable(capacity)
+    kernel = kernel_for(fast_inner)
+    assert isinstance(kernel, FastGrapheneKernel)
+    return reference, kernel
+
+
+def _commit_all(kernel, rows, time_ns: float = 0.0) -> None:
+    """Commit ``rows`` through ``commit_run``; none may be held back."""
+    times = np.full(len(rows), time_ns)
+    consumed, directives = kernel.commit_run(times, np.asarray(rows))
+    assert (consumed, directives) == (len(rows), [])
+
+
 class TestFastMisraGries:
+    """The Graphene kernel's Misra-Gries loop against ``MisraGriesTable``.
+
+    ``T`` is raised out of reach so ``commit_run`` never truncates, and
+    items arrive in runs of 1-64: every hit, insert, eviction and
+    spillover bump goes through the batched path."""
+
     @pytest.mark.parametrize("capacity", [1, 2, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_lockstep_with_reference_table(self, capacity, seed):
         reference = MisraGriesTable(capacity)
-        fast = FastMisraGries(capacity)
-        for step, item in enumerate(_adversarial_items(seed, 2000)):
-            assert fast.observe(item) == reference.observe(item), step
-            assert fast.spillover == reference.spillover, step
-            assert fast.tracked() == reference.tracked(), step
-            assert fast.last_evicted == reference.last_evicted, step
-        assert fast.observations == reference.observations
-        assert len(fast) == len(reference)
+        _, kernel = _graphene_pair(capacity=capacity)
+        kernel.mitigation.engine.threshold = 10**9
+        table = kernel.mitigation.engine.table
+        items = _adversarial_items(seed, 2000)
+        rng = random.Random(seed)
+        start = 0
+        while start < len(items):
+            run = items[start:start + rng.randint(1, 64)]
+            start += len(run)
+            _commit_all(kernel, run)
+            for item in run:
+                reference.observe(item)
+            assert table.spillover == reference.spillover, start
+            assert table.tracked() == reference.tracked(), start
+            assert table.last_evicted == reference.last_evicted, start
+            table.check_invariants()
+        assert table.observations == reference.observations
 
     def test_smallest_key_eviction_tie_break(self):
         """The determinism contract: min() over replaceable keys."""
-        fast = FastMisraGries(3)
-        for key in (30, 20, 10):
-            fast.observe(key)
-        # All three entries have count 1 == spillover + 1; a miss after
-        # one spillover bump must evict key 10, the smallest.
-        fast.observe(99)  # spillover -> 1 (no entry at count 0)
-        assert fast.spillover == 1
-        result = fast.observe(42)
-        assert result == 2  # carried-over count + 1
-        assert fast.last_evicted == 10
-        assert 10 not in fast and 42 in fast
+        _, kernel = _graphene_pair(capacity=3)
+        table = kernel.mitigation.engine.table
+        # 99 misses a full table with no entry at count 0 (spillover ->
+        # 1); 42 then evicts the smallest count-1 key, 10.
+        _commit_all(kernel, [30, 20, 10, 99, 42])
+        assert table.spillover == 1
+        assert table.estimated_count(42) == 2  # carried-over count + 1
+        assert table.last_evicted == 10
+        assert 10 not in table and 42 in table
 
     def test_reset_clears_everything(self):
-        fast = FastMisraGries(2)
-        for item in (1, 2, 3, 3):
-            fast.observe(item)
-        fast.reset()
-        assert len(fast) == 0
-        assert fast.spillover == 0
-        assert fast.observations == 0
-        assert fast.tracked() == {}
+        """A window reset between commits starts a fresh eviction epoch:
+        the snapshot of the old spillover bucket must not leak into the
+        new window."""
+        reference, kernel = _graphene_pair(capacity=2)
+        table = kernel.mitigation.engine.table
+        window = kernel.mitigation.engine._window_length_ns
+        _commit_all(kernel, [1, 2, 3, 4, 5])
+        for row in (1, 2, 3, 4, 5):
+            reference.on_activate(row, 0.0)
+        kernel.on_activate(7, window)
+        reference.on_activate(7, window)
+        assert table.tracked() == {7: 1}
+        assert table.spillover == 0 and table.observations == 1
+        _commit_all(kernel, [9, 11, 8, 6], window)
+        for row in (9, 11, 8, 6):
+            reference.on_activate(row, window)
+        assert reference_table_state(kernel.mitigation) == (
+            reference_table_state(reference)
+        )
+        assert table.last_evicted == reference.engine.table.last_evicted
 
     def test_estimated_count(self):
-        fast = FastMisraGries(2)
-        fast.observe(7)
-        fast.observe(7)
-        assert fast.estimated_count(7) == 2
-        assert fast.estimated_count(8) == 0
-
-
-def _mitigation_pair(threshold: int = 1000):
-    config = GrapheneConfig(hammer_threshold=threshold)
-    reference = GrapheneMitigation(0, 65536, config)
-    fast_inner = GrapheneMitigation(0, 65536, config)
-    return reference, FastGrapheneBank(fast_inner)
+        _, kernel = _graphene_pair(capacity=2)
+        _commit_all(kernel, [7, 7])
+        table = kernel.mitigation.engine.table
+        assert table.estimated_count(7) == 2
+        assert table.estimated_count(8) == 0
 
 
 class TestFastGrapheneBank:
+    """One bank's Graphene kernel from ``kernel_for``, driven the way
+    the controller drives it: offered runs through ``commit_run`` and
+    the held-back event through the scalar path."""
+
     def test_lockstep_with_reference_engine(self):
-        reference, fast = _mitigation_pair()
+        reference, fast = _graphene_pair(threshold=200, capacity=16)
+        window = fast.mitigation.engine._window_length_ns
         rng = random.Random(3)
-        time_ns = 0.0
+        events, time_ns = [], 0.0
         for step in range(5000):
-            row = rng.randrange(40)
-            ref_directives = reference.on_activate(row, time_ns)
-            fast_directives = fast.on_activate(row, time_ns)
-            assert fast_directives == ref_directives, step
+            events.append((time_ns, rng.randrange(40)))
             # Reset-window straddles included: jump past a boundary
             # every ~500 ACTs.
-            time_ns += 45.0 if step % 500 else fast.window_len / 3
+            time_ns += 45.0 if step % 500 else window / 3
+        ref_directives = []
+        for t, row in events:
+            ref_directives.extend(reference.on_activate(row, t))
+        fast_directives, index, committed = [], 0, 0
+        while index < len(events):
+            blocking = fast.next_blocking_ns()
+            stop = index
+            while (
+                stop < len(events) and stop - index < 256
+                and events[stop][0] < blocking
+            ):
+                stop += 1
+            consumed = 0
+            if stop > index:
+                times, rows = zip(*events[index:stop])
+                consumed, directives = fast.commit_run(
+                    np.asarray(times), np.asarray(rows)
+                )
+                assert directives == []
+            committed += consumed
+            index += consumed
+            if index < len(events):
+                t, row = events[index]
+                fast_directives.extend(fast.on_activate(row, t))
+                index += 1
+        assert fast_directives == ref_directives
+        assert ref_directives, "test has no teeth"
+        assert committed > len(events) // 2
         assert fast.table_state() == reference_table_state(reference)
         assert fast.stats == reference.stats
+        assert fast.mitigation.engine.stats == reference.engine.stats
 
     def test_rejects_backwards_time_and_bad_rows(self):
-        _, fast = _mitigation_pair()
+        _, fast = _graphene_pair()
         fast.on_activate(5, 1000.0)
         with pytest.raises(ValueError):
             fast.on_activate(5, -1.0)
@@ -118,9 +189,10 @@ class TestFastGrapheneBank:
             fast.on_activate(-1, 2000.0)
 
     def test_describe_matches_reference(self):
-        reference, fast = _mitigation_pair()
+        reference, fast = _graphene_pair()
+        assert fast.name == reference.name == "graphene"
         assert fast.describe() == reference.describe()
-        assert fast.table_bits() == reference.table_bits()
+        assert fast.stats is fast.mitigation.stats
 
 
 def _interleaved_trace(banks: int = 3, acts_per_bank: int = 4000):
@@ -253,30 +325,52 @@ class TestDifferentialSubject:
         assert stats["schemes"] == len(KERNEL_SCHEMES)
         assert stats["acts"] == len(events) * len(KERNEL_SCHEMES)
 
+    def test_unprotected_stream_flips_on_both_engines(self, monkeypatch):
+        """The pinned stream that makes ``none`` flip: the subject then
+        compares real bit-flip records from the vector path against the
+        reference's (a mismatch would be a violation)."""
+        from repro.verify import fastpath_check
+
+        monkeypatch.setattr(fastpath_check, "KERNEL_SCHEMES", ("none",))
+        events = generate_stream(
+            StreamSpec(generator="eviction", seed=7, length=900),
+            DEFAULT_SCALE,
+        )
+        violations, stats = run_fastpath_check(events, DEFAULT_SCALE)
+        assert violations == []
+        assert stats["flips"] >= 1
+
     def test_catches_a_seeded_divergence(self):
-        """The subject must have teeth: perturb the fast kernel's state
-        mid-run and the table-state comparison must flag it."""
+        """The subject must have teeth: skew one table count right
+        after a commit that inserted a row (the miss path) and the
+        comparison must flag it."""
         events = generate_stream(
             StreamSpec(generator="random", seed=9, length=200),
             DEFAULT_SCALE,
         )
-        from repro.core import fastpath as fp
+        original = FastGrapheneKernel.commit_run
+        skewed = []
 
-        original = fp.FastMisraGries.observe
-
-        def corrupted(self, item):
-            result = original(self, item)
-            if self.observations == 10:  # skew one count mid-run
-                self.counts[0] += 1
+        def corrupted(self, times, rows):
+            stats = self.mitigation.engine.stats
+            inserted = stats.table_insertions
+            result = original(self, times, rows)
+            if not skewed and stats.table_insertions > inserted:
+                table = self.mitigation.engine.table
+                row, count = next(iter(table.tracked().items()))
+                table._move(row, count, count + 1)
+                skewed.append(row)
             return result
 
-        fp.FastMisraGries.observe = corrupted
+        FastGrapheneKernel.commit_run = corrupted
         try:
             violations, _ = run_fastpath_check(events, DEFAULT_SCALE)
         finally:
-            fp.FastMisraGries.observe = original
+            FastGrapheneKernel.commit_run = original
+        assert skewed, "no miss-path commit ran"
         assert violations, "corrupted kernel state went undetected"
         assert violations[0].kind == "divergence"
+        assert "[graphene" in violations[0].detail
 
 
 class TestFastControllerConstruction:
@@ -428,6 +522,40 @@ class TestKernelSchemes:
             simulate(
                 events, factory, fast=True, chunk_events=chunk_events,
                 **kwargs,
+            )
+
+    @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
+    @pytest.mark.parametrize("streamed", [False, True])
+    @pytest.mark.parametrize("bank", [-1, 2])
+    def test_out_of_range_bank_raises_like_reference(
+        self, scheme, streamed, bank
+    ):
+        """A bank outside the device must raise on both engines -- a
+        negative index used to wrap round to the last bank and a large
+        one to escape as a bare list-index error."""
+        trace = pace_array(np.asarray([100, 102] * 10), DDR4_2400.trc)
+        events = [
+            ActEvent(event.time_ns, bank if index == 7 else 1, event.row)
+            for index, event in enumerate(trace.to_events())
+        ]
+        kwargs = dict(
+            scheme=scheme,
+            workload="bad-bank",
+            banks=2,
+            rows_per_bank=512,
+            hammer_threshold=DEFAULT_SCALE.mitigation_trh,
+            track_faults=False,
+        )
+        message = rf"bank {bank} out of range \[0, 2\)"
+        factory = _mitigation_factory(scheme, DEFAULT_SCALE.mitigation_trh)
+        with pytest.raises(IndexError, match=message):
+            simulate(events, factory, fast=False, **kwargs)
+        source = iter(events) if streamed else TraceArray.from_events(events)
+        factory = _mitigation_factory(scheme, DEFAULT_SCALE.mitigation_trh)
+        with pytest.raises(IndexError, match=message):
+            simulate(
+                source, factory, fast=True,
+                chunk_events=8 if streamed else None, **kwargs,
             )
 
 
