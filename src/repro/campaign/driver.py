@@ -14,17 +14,22 @@ cell records a ``failed`` manifest line instead of sinking its
 batch-mates.  Failed cells are retried on resume (last record wins).
 
 The driver also owns the campaign's telemetry: the whole run executes
-inside a telemetry session, and after every batch the accumulated
-events are appended to ``telemetry.jsonl`` in the campaign directory
-(and scanned for OracleViolations to surface on the dashboard), so the
-HTML report can be rendered from the merged stream at any time --
-including from a half-finished campaign.
+inside a ``metrics``-level telemetry session (counters and histograms
+plus job-level events, so kernel-scheme cells stay on the fast
+engine).  After every batch the job-level events (cache outcomes,
+fast-path fallbacks, oracle violations) are appended to
+``telemetry.jsonl`` in the campaign directory, followed by one
+``CampaignMetrics`` record -- the run's cumulative registry snapshot
+under a per-run id -- so the HTML report can be rendered from the
+merged stream at any time, including from a half-finished campaign.
+Violations are also surfaced on the dashboard as they drain.
 """
 
 from __future__ import annotations
 
 import json
 import time
+import uuid
 from pathlib import Path
 from typing import Any, Callable
 
@@ -36,10 +41,12 @@ from .grid import CampaignCell, CampaignSpec
 from .manifest import CampaignManifest, CellRecord
 from .progress import DashboardRenderer, ProgressSampler
 
-__all__ = ["CampaignDriver", "TELEMETRY_NAME"]
+__all__ = ["CampaignDriver", "METRICS_RECORD", "TELEMETRY_NAME"]
 
 #: Merged campaign event stream, appended batch by batch.
 TELEMETRY_NAME = "telemetry.jsonl"
+#: ``type`` of the per-batch registry-snapshot records in that stream.
+METRICS_RECORD = "CampaignMetrics"
 
 
 def _chunks(items: list[Any], size: int) -> list[list[Any]]:
@@ -73,7 +80,6 @@ class CampaignDriver:
         heartbeat_s: float = 10.0,
         batch_size: int | None = None,
         clock: Callable[[], float] = time.monotonic,
-        max_events: int | None = 200_000,
     ) -> None:
         if manifest.spec_digest and manifest.spec_digest != spec.digest():
             raise ValueError(
@@ -93,7 +99,6 @@ class CampaignDriver:
         self.batch_size = batch_size or 4 * self.workers
         self._clock = clock
         self._last_heartbeat = clock()
-        self.max_events = max_events
         self.telemetry_path = manifest.directory / TELEMETRY_NAME
         #: Cache keys this session computed (not cache-resolved) --
         #: the zero-recompute proof compares these against the
@@ -102,20 +107,28 @@ class CampaignDriver:
 
     # ------------------------------------------------------------------
 
-    def _drain_events(self, bus: TelemetryBus, sampler: ProgressSampler) -> int:
-        """Append the bus's events to telemetry.jsonl and clear them."""
-        events = bus.events
-        if not events:
-            return 0
+    def _drain_telemetry(
+        self, bus: TelemetryBus, sampler: ProgressSampler, run_id: str
+    ) -> None:
+        """Append the bus's events, then one metrics record, to
+        telemetry.jsonl, and clear the events.
+
+        The metrics record carries the run's cumulative registry
+        snapshot, so the last record of each run holds its totals.
+        """
+        metrics = {
+            "type": METRICS_RECORD,
+            "run": run_id,
+            "metrics": bus.registry.snapshot(),
+        }
         with open(self.telemetry_path, "a", encoding="utf-8") as handle:
-            for event in events:
+            for event in bus.events:
                 sampler.observe_event(event)
                 handle.write(
                     json.dumps(event_record(event), sort_keys=True) + "\n"
                 )
-        drained = len(events)
+            handle.write(json.dumps(metrics, sort_keys=True) + "\n")
         bus.events.clear()
-        return drained
 
     def _record(
         self,
@@ -249,12 +262,12 @@ class CampaignDriver:
         )
         self._last_heartbeat = self._clock()
         runner = ExperimentRunner(jobs=self.workers, cache=self.cache)
-        bus = TelemetryBus(max_events=self.max_events)
+        bus = TelemetryBus(events=False)
+        run_id = uuid.uuid4().hex[:12]
         with session(bus):
             for batch in _chunks(todo, self.batch_size):
                 self._run_batch(batch, runner, sampler)
-                self._drain_events(bus, sampler)
-        self._drain_events(bus, sampler)
+                self._drain_telemetry(bus, sampler, run_id)
 
         counters = runner.cache_counters()
         snapshot = sampler.snapshot(counters)

@@ -24,8 +24,10 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
+from ..telemetry.events import event_record
 from ..telemetry.export import iter_jsonl
-from .driver import TELEMETRY_NAME
+from ..telemetry.registry import MetricsRegistry
+from .driver import METRICS_RECORD, TELEMETRY_NAME
 from .manifest import CampaignManifest, CellRecord
 
 __all__ = ["render_report", "write_report", "REPORT_NAME"]
@@ -172,28 +174,36 @@ def _aggregate(
 
 
 def _telemetry_rollup(events: Iterable[Any]) -> dict[str, Any]:
-    """Event-type counts and violation details from the merged stream."""
-    counts: dict[str, int] = {}
+    """Merged counters, violations and fallbacks from the stream.
+
+    Each driver run appends cumulative ``CampaignMetrics`` records, so
+    the last record of each run holds that run's totals and the
+    campaign's counters are their sum -- an interrupted-and-resumed
+    campaign totals the same as one run in one go.
+    """
+    last: dict[str, Mapping[str, Any]] = {}
     violations: list[str] = []
+    fallbacks: list[tuple[str, str]] = []
     for event in events:
-        if isinstance(event, Mapping):
-            name = str(event.get("type", "unknown"))
-        else:
-            name = type(event).__name__
-        counts[name] = counts.get(name, 0) + 1
-        if name == "OracleViolation":
-            subject = (
-                event.get("subject")
-                if isinstance(event, Mapping)
-                else getattr(event, "subject", "?")
+        record = event if isinstance(event, Mapping) else event_record(event)
+        name = record.get("type")
+        if name == METRICS_RECORD:
+            last[str(record.get("run"))] = record.get("metrics", {})
+        elif name == "OracleViolation":
+            violations.append(f"{record.get('subject')}/{record.get('kind')}")
+        elif name == "FastPathFallback":
+            cell = record.get("job") or (
+                f"{record.get('workload')}/{record.get('scheme')}"
             )
-            kind = (
-                event.get("kind")
-                if isinstance(event, Mapping)
-                else getattr(event, "kind", "?")
-            )
-            violations.append(f"{subject}/{kind}")
-    return {"counts": counts, "violations": violations}
+            fallbacks.append((str(cell), str(record.get("reason", ""))))
+    registry = MetricsRegistry()
+    for snapshot in last.values():
+        registry.merge(snapshot)
+    return {
+        "counters": registry.snapshot()["counters"],
+        "violations": violations,
+        "fallbacks": fallbacks,
+    }
 
 
 def render_report(
@@ -255,16 +265,27 @@ def render_report(
             f"<h2>Oracle violations ({n_violations})</h2><ul>{items}</ul>"
         )
 
-    event_rows = "\n".join(
-        f"<tr><td><code>{_esc(kind)}</code></td>"
-        f'<td class="num">{count:,}</td></tr>'
-        for kind, count in sorted(rollup["counts"].items())
+    fallbacks_html = ""
+    if rollup["fallbacks"]:
+        items = "\n".join(
+            f"<li><code>{_esc(cell)}</code> &mdash; {_esc(reason)}</li>"
+            for cell, reason in rollup["fallbacks"]
+        )
+        fallbacks_html = (
+            f"<h2>Fast-path fallbacks ({len(rollup['fallbacks'])})</h2>"
+            f"<ul>{items}</ul>"
+        )
+
+    counter_rows = "\n".join(
+        f"<tr><td><code>{_esc(name)}</code></td>"
+        f'<td class="num">{value:,}</td></tr>'
+        for name, value in rollup["counters"].items()
     )
-    events_html = (
-        "<h2>Telemetry events</h2><table><thead><tr><th>event</th>"
-        '<th class="num">count</th></tr></thead>'
-        f"<tbody>{event_rows}</tbody></table>"
-        if rollup["counts"]
+    counters_html = (
+        "<h2>Telemetry counters</h2><table><thead><tr><th>counter</th>"
+        '<th class="num">total</th></tr></thead>'
+        f"<tbody>{counter_rows}</tbody></table>"
+        if rollup["counters"]
         else ""
     )
 
@@ -317,7 +338,8 @@ def render_report(
 {_scheme_bars(per_scheme)}
 {failed_html}
 {violations_html}
-{events_html}
+{fallbacks_html}
+{counters_html}
 {table_html}
 <h2>Spec</h2>
 <details><summary class="meta">campaign grid (JSON)</summary>

@@ -221,6 +221,8 @@ def run_batch_scheduler(
                 run_length[bank_index] = 0
                 request.finish_ns = now_ns + service_miss
                 bus = _telemetry.BUS
+                if bus is not None and not bus.per_act:
+                    bus = None
                 for ref_event in bank_model.drain_refresh_events():
                     for directive in engines[bank_index].on_refresh_command(
                         ref_event.time_ns

@@ -125,7 +125,7 @@ class MemoryController:
         self.latency.record(delay_ns)
         if delay_ns > 0:
             bus = _telemetry.BUS
-            if bus is not None:
+            if bus is not None and bus.per_act:
                 bus.publish(
                     SchedStall(
                         time_ns=event.time_ns,
@@ -171,7 +171,7 @@ class MemoryController:
         self.counters.nrr_commands += 1
         self.counters.nrr_rows += len(rows)
         bus = _telemetry.BUS
-        if bus is not None:
+        if bus is not None and bus.per_act:
             bus.publish(
                 NrrEmit(
                     time_ns=now_ns,

@@ -61,14 +61,23 @@ contents, same bit flips.  This is possible because:
   flips and executed directives are tagged with their global event
   index per lane and heap-merged, so cross-bank ordering is exact.
 
-The fast path never runs when a telemetry bus is installed (per-event
-telemetry would be skipped) or when any bank's scheme has no
-registered kernel (PRoHIT, MRLoc, CRA and the oracle; every scheme of
-Fig. 8 has one); :func:`build_fast_controller` returns ``None`` (and
-:func:`build_fast_controller_ex` additionally names the reason) and
-callers fall back to the reference engine.  ``docs/performance.md``
-("Hot path") documents the design, the per-scheme kernel coverage and
-the measured speedups.
+**Telemetry.**  Under a ``metrics``-level bus
+(``TelemetryBus(events=False)``) the controller publishes what the
+reference publishes, as aggregates: ``sched.acts``,
+``sched.delayed_acts`` and the ``sched.delay_ns`` histogram fold in
+with the latency delays, so the registry snapshot matches the
+reference one bit for bit.  It adds its own ``fastpath.*`` counters
+once per chunk: ``fastpath.chunks`` and, per kernel scheme,
+``fastpath.<scheme>.vector_acts`` / ``fastpath.<scheme>.scalar_acts``.
+
+The fast path never runs under an ``events``-level bus (it cannot
+produce the per-ACT records that level retains) or when any bank's
+scheme has no registered kernel (PRoHIT, MRLoc, CRA and the oracle;
+every scheme of Fig. 8 has one); :func:`build_fast_controller` returns
+``None`` (and :func:`build_fast_controller_ex` additionally names the
+reason) and callers fall back to the reference engine.
+``docs/performance.md`` ("Hot path") documents the design, the
+per-scheme kernel coverage and the measured speedups.
 """
 
 from __future__ import annotations
@@ -90,6 +99,7 @@ from ..mitigations.base import (
     RefreshDirective,
 )
 from ..telemetry import runtime as _telemetry
+from ..telemetry.registry import Histogram
 from ..workloads.columnar import TraceArray, iter_chunk_arrays
 
 __all__ = [
@@ -261,6 +271,9 @@ class _LaneEngine:
         #: directives (ABACuS) land on the bank they name, as the
         #: reference MC does.
         self.bank_of = bank_of
+        #: ACTs committed by vector batches so far (every other issued
+        #: ACT replayed scalar); bumped once per batch.
+        self.vector_acts = 0
 
     def run_lane(
         self,
@@ -494,6 +507,7 @@ class _LaneEngine:
         bank.stats.row_buffer_misses += extent
         bank_model._clock_ns = last_issue
         self.counters.acts_issued += extent
+        self.vector_acts += extent
 
         if chained:
             # chain > times (strictly) on the committed prefix, so every
@@ -563,6 +577,9 @@ class FastMemoryController:
         self._lane = _LaneEngine(
             self.counters, keep_directive_log, bank_of=device.bank
         )
+        #: Label of the ``fastpath.<scheme>.*`` counters: every bank
+        #: runs the one scheme its factory builds.
+        self.scheme = engines[0].name if engines else "none"
         #: Adaptive attempt window for the banked cross-bank lane; a
         #: pure throughput heuristic (results are window-invariant),
         #: carried across segments so each slab starts where the
@@ -589,7 +606,21 @@ class FastMemoryController:
         else:
             chunks = [TraceArray.from_events(events)]
         for chunk in chunks:
+            vector_before = self._lane.vector_acts
             self._run_chunk(self._check_addresses(chunk))
+            bus = _telemetry.BUS
+            if bus is not None:
+                self._publish_chunk(
+                    bus.registry, len(chunk),
+                    self._lane.vector_acts - vector_before,
+                )
+
+    def _publish_chunk(self, registry, acts: int, vector: int) -> None:
+        """One chunk's ``fastpath.*`` counters (never per ACT)."""
+        prefix = f"fastpath.{self.scheme}"
+        registry.counter("fastpath.chunks").inc()
+        registry.counter(f"{prefix}.vector_acts").inc(vector)
+        registry.counter(f"{prefix}.scalar_acts").inc(acts - vector)
 
     def _check_addresses(self, trace: TraceArray) -> TraceArray:
         """Raise the reference's ``IndexError`` for the first bad event.
@@ -1036,6 +1067,7 @@ class FastMemoryController:
                     issue[positions] - times[positions]
                 )
         self.counters.acts_issued += extent
+        self._lane.vector_acts += extent
 
         if any(models[int(b)].faults is not None for b in uniq_banks):
             for k in range(extent):
@@ -1081,16 +1113,20 @@ class FastMemoryController:
         exact bit manipulation -- except in the narrow band where
         ``math.log2`` may round up across an integer, which replays the
         reference's scalar expression.  All other tracker fields are
-        order-independent counts.
+        order-independent counts.  With a bus installed the same arrays
+        feed the ``sched.*`` metrics (:func:`_publish_delays`).
         """
         tracker = self.latency
         count = len(delays)
         tracker._count += count
         positive = np.flatnonzero(delays > 0.0)
         tracker._buckets[0] += count - len(positive)
-        if not len(positive):
-            return
         pos = delays[positive]
+        bus = _telemetry.BUS
+        if bus is not None:
+            _publish_delays(bus.registry, count, pos)
+        if not len(pos):
+            return
         tracker._delayed += len(pos)
         seeded = np.empty(len(pos) + 1, dtype=np.float64)
         seeded[0] = tracker._total
@@ -1135,6 +1171,41 @@ class FastMemoryController:
         )
 
 
+def _publish_delays(registry, count: int, pos: np.ndarray) -> None:
+    """Fold one chunk's delays into the ``sched.*`` metrics.
+
+    Matches what ``LatencyTracker.record`` publishes per ACT: ``count``
+    ACTs, of which ``pos`` (the positive delays, in global event order)
+    were delayed.  The histogram total is a cumsum seeded with the
+    running total (the scalar ``+=`` sequence), and buckets come from
+    ``int(v).bit_length()`` -- ``np.frexp`` of the floored value is
+    exact -- so the snapshot equals the reference one bit for bit.
+    Metrics the reference would not have created stay uncreated.
+    """
+    if not count:
+        return
+    registry.counter("sched.acts").inc(count)
+    if not len(pos):
+        return
+    registry.counter("sched.delayed_acts").inc(len(pos))
+    histogram = registry.histogram("sched.delay_ns")
+    if not isinstance(histogram, Histogram):
+        return  # disabled registry
+    histogram.count += len(pos)
+    seeded = np.empty(len(pos) + 1, dtype=np.float64)
+    seeded[0] = histogram.total
+    seeded[1:] = pos
+    histogram.total = float(np.cumsum(seeded)[-1])
+    histogram.max = max(histogram.max, float(pos.max()))
+    _, bit_length = np.frexp(np.floor(pos))
+    index = np.where(
+        pos < 1.0, 0, np.minimum(bit_length - 1, Histogram._MAX_EXPONENT) + 1
+    )
+    bucket_counts = np.bincount(index, minlength=len(histogram.buckets))
+    for bucket in np.flatnonzero(bucket_counts):
+        histogram.buckets[bucket] += int(bucket_counts[bucket])
+
+
 def build_fast_controller_ex(
     device: DramDevice,
     factory: MitigationFactory,
@@ -1144,15 +1215,18 @@ def build_fast_controller_ex(
     apply.  Fallback triggers (the caller should use the reference
     ``MemoryController``):
 
-    * a telemetry bus is installed -- the vector path cannot publish
-      the per-event telemetry the reference emits;
+    * an ``events``-level telemetry bus is installed -- the vector path
+      cannot produce the per-ACT records that level retains.  Under a
+      ``metrics``-level bus the controller builds and publishes its
+      aggregates instead;
     * some bank's engine type has no registered kernel (see
       :func:`register_kernel`; :func:`kernel_schemes` lists coverage).
     """
-    if _telemetry.BUS is not None:
+    bus = _telemetry.BUS
+    if bus is not None and bus.per_act:
         return None, (
-            "telemetry bus active (per-event telemetry needs the "
-            "reference loop)"
+            "events-level telemetry bus active (per-ACT events need "
+            "the reference loop)"
         )
     mitigations = [
         factory(bank, device.geometry.rows_per_bank)

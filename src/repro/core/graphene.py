@@ -113,8 +113,11 @@ class GrapheneEngine:
         table = self.table
         was_tracked = row in table
         # Telemetry rides behind one branch: with no bus installed the
-        # hot path allocates nothing and does no extra work.
+        # hot path allocates nothing and does no extra work.  A
+        # metrics-level bus takes no per-ACT events.
         bus = _telemetry.BUS
+        if bus is not None and not bus.per_act:
+            bus = None
         was_full = bus is not None and len(table) >= table.capacity
         new_count = table.observe(row)
         if new_count is None:
@@ -190,7 +193,7 @@ class GrapheneEngine:
                     f"after window {self._current_window}"
                 )
             bus = _telemetry.BUS
-            if bus is not None:
+            if bus is not None and bus.per_act:
                 bus.publish(
                     WindowReset(
                         time_ns=time_ns,

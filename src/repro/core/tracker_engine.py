@@ -116,6 +116,8 @@ class TrackerBackedEngine:
         if not 0 <= row < self.rows:
             raise IndexError(f"row {row} out of range [0, {self.rows})")
         bus = _telemetry.BUS
+        if bus is not None and not bus.per_act:
+            bus = None
         window = int(time_ns // self._window_length_ns)
         if window != self._current_window:
             if window < self._current_window:

@@ -145,6 +145,7 @@ def _execute_traced(
     job: Job,
     sample_interval_ns: float | None,
     max_events: int | None,
+    per_act: bool = True,
 ) -> tuple[Any, dict[str, Any]]:
     """Run one job inside a fresh telemetry session.
 
@@ -153,7 +154,9 @@ def _execute_traced(
     that would be silently discarded) and the bus state rides home with
     the result as a picklable dict for deterministic merging.  The same
     wrapper runs on the serial path so serial and parallel executions
-    produce identical event streams.
+    produce identical event streams.  ``per_act`` carries the parent
+    bus's level, so a ``metrics`` parent gets ``metrics`` job buses
+    (and fast-engine jobs keep the fast engine).
     """
     from ..telemetry.runtime import TelemetryBus, session
     from ..telemetry.sampler import TimeSeriesSampler
@@ -161,7 +164,7 @@ def _execute_traced(
     sampler = (
         TimeSeriesSampler(sample_interval_ns) if sample_interval_ns else None
     )
-    bus = TelemetryBus(sampler=sampler, max_events=max_events)
+    bus = TelemetryBus(sampler=sampler, max_events=max_events, events=per_act)
     with session(bus):
         result = _execute(job)
     return result, bus.export_state()
@@ -311,23 +314,17 @@ class ExperimentRunner:
     def _job_note(job: Job) -> str:
         """Advisory annotation for the job's record (may be empty).
 
-        Currently detects fast-engine simulation jobs that will (or,
-        for cache hits, did) fall back to the reference loop, so an
-        ``experiment --fast`` summary names every silently-slow cell
-        and why.  Mirrors ``build_fast_controller_ex``'s checks without
-        building a device: a telemetry bus in this process follows the
-        job into its session, and kernel coverage is a property of the
-        factory spec alone.
+        Currently detects fast-engine simulation jobs whose scheme has
+        no batched kernel, so an ``experiment --fast`` summary names
+        every silently-slow cell and why.  Kernel coverage is a
+        property of the factory spec alone, so no device is built.  A
+        fallback forced by an ``events``-level bus is reported by the
+        ``FastPathFallback`` event ``simulate`` publishes into it.
         """
         if not job.fn.endswith(":run_sim_spec"):
             return ""
         if job.kwargs.get("engine", "reference") != "fast":
             return ""
-        if _telemetry.BUS is not None:
-            return (
-                "fast engine fell back to the reference loop: telemetry "
-                "bus active (per-event telemetry needs the reference loop)"
-            )
         from ..core.fastpath import kernel_for
 
         try:
@@ -394,8 +391,7 @@ class ExperimentRunner:
 
         if len(pending) > 1 and self.jobs > 1:
             self._run_parallel(
-                batch, pending, results, total, states, elapsed,
-                traced=bus is not None,
+                batch, pending, results, total, states, elapsed, bus,
             )
         else:
             for index in pending:
@@ -405,6 +401,7 @@ class ExperimentRunner:
                         batch[index],
                         self.sample_interval_ns,
                         self.max_events_per_job,
+                        bus.per_act,
                     )
                 else:
                     results[index] = _execute(batch[index])
@@ -450,9 +447,12 @@ class ExperimentRunner:
         total: int,
         states: dict[int, dict[str, Any]],
         elapsed: dict[int, float],
-        traced: bool = False,
+        bus: _telemetry.TelemetryBus | None = None,
     ) -> None:
+        """Fan ``pending`` out to worker processes; with ``bus`` (the
+        parent's), each job runs traced at the parent bus's level."""
         workers = min(self.jobs, len(pending))
+        traced = bus is not None
         with ProcessPoolExecutor(max_workers=workers) as pool:
             if traced:
                 futures = {
@@ -461,6 +461,7 @@ class ExperimentRunner:
                         batch[index],
                         self.sample_interval_ns,
                         self.max_events_per_job,
+                        bus.per_act,
                     ): (index, time.perf_counter())
                     for index in pending
                 }

@@ -19,6 +19,8 @@ from ..dram.faults import CouplingProfile
 from ..dram.geometry import DramGeometry
 from ..dram.timing import DDR4_2400, DramTimings
 from ..mitigations.base import MitigationFactory
+from ..telemetry import runtime as _telemetry
+from ..telemetry.events import FastPathFallback
 from ..workloads.trace import ActEvent
 from .metrics import SimulationResult
 
@@ -98,10 +100,13 @@ def simulate(
         fast: Route through the columnar batch engine
             (:mod:`repro.core.fastpath`) when the scheme supports it;
             results are byte-identical to the reference engine, which
-            remains the automatic fallback (telemetry bus installed, or
-            a scheme without a batched kernel).  A fallback logs a
-            one-line warning on the ``repro.sim`` logger naming the
-            reason, so a silent ~1x run is visible.
+            remains the automatic fallback (an ``events``-level
+            telemetry bus installed, or a scheme without a batched
+            kernel; a ``metrics``-level bus keeps the fast engine).  A
+            fallback logs a one-line warning on the ``repro.sim``
+            logger naming the reason, and with a bus installed also
+            publishes a :class:`~repro.telemetry.events.FastPathFallback`
+            event, so a silent ~1x run is visible.
         chunk_events: With ``fast=True``, stream the trace through the
             engine in chunks of at most this many events (state carried
             across chunk boundaries; bit-identical).  Bounds working
@@ -139,6 +144,16 @@ def simulate(
                 workload,
                 fallback_reason,
             )
+            bus = _telemetry.BUS
+            if bus is not None:
+                bus.publish(
+                    FastPathFallback(
+                        time_ns=0.0,
+                        scheme=scheme,
+                        workload=workload,
+                        reason=str(fallback_reason),
+                    )
+                )
 
     last_time_ns = 0.0
     if controller is not None:

@@ -11,10 +11,14 @@ visible without taxing untraced runs:
   mode;
 * :mod:`~repro.telemetry.events` -- the typed event vocabulary
   (``TableInsert``, ``TableEvict``, ``SpilloverBump``, ``NrrEmit``,
-  ``WindowReset``, ``SchedStall``, ``CacheHit``/``CacheMiss``);
+  ``WindowReset``, ``SchedStall``, ``CacheHit``/``CacheMiss``,
+  ``FastPathFallback``);
 * :mod:`~repro.telemetry.runtime` -- the :class:`TelemetryBus` and the
   process-wide ``BUS`` switch; hot paths pay exactly one branch when
-  telemetry is off;
+  telemetry is off.  A bus runs at the ``events`` level (per-ACT
+  records, reference engine only) or the ``metrics`` level
+  (``TelemetryBus(events=False)``: counters and histograms, which the
+  fast engine supports);
 * :mod:`~repro.telemetry.sampler` -- fixed simulated-time-interval
   snapshots of per-bank table occupancy, spillover and NRR rate;
 * :mod:`~repro.telemetry.export` -- JSONL logs, Chrome
@@ -37,6 +41,7 @@ from .events import (
     EVENT_TYPES,
     CacheHit,
     CacheMiss,
+    FastPathFallback,
     NrrEmit,
     OracleViolation,
     SchedStall,
@@ -77,6 +82,7 @@ __all__ = [
     "CacheHit",
     "CacheMiss",
     "OracleViolation",
+    "FastPathFallback",
     "EVENT_TYPES",
     "event_record",
     "event_from_record",

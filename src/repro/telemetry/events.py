@@ -20,7 +20,13 @@ guarantees live in:
   the experiment runner (host-side; ``time_ns`` is 0);
 * :class:`OracleViolation` -- the adversarial-verification subsystem
   (:mod:`repro.verify`) caught an implementation disagreeing with the
-  exact-count protection oracle (host-side; ``time_ns`` is 0).
+  exact-count protection oracle (host-side; ``time_ns`` is 0);
+* :class:`FastPathFallback` -- ``simulate(fast=True)`` ran on the
+  reference loop instead, and why (host-side; ``time_ns`` is 0).
+
+The first six are *per-ACT* events: only a bus at the ``events`` level
+receives them (see :mod:`repro.telemetry.runtime`).  The host-side
+ones are job-level and reach a bus at either level.
 
 Every event carries an optional ``job`` label, stamped when per-job
 event streams are merged across the process-pool boundary so a merged
@@ -47,6 +53,7 @@ __all__ = [
     "CacheHit",
     "CacheMiss",
     "OracleViolation",
+    "FastPathFallback",
     "EVENT_TYPES",
     "event_record",
     "event_from_record",
@@ -183,6 +190,22 @@ class OracleViolation:
     job: str | None = None
 
 
+@dataclass(frozen=True, slots=True)
+class FastPathFallback:
+    """``simulate(fast=True)`` fell back to the reference loop.
+
+    Published once per simulation, so a campaign or traced experiment
+    can name every cell that ran slow and why.
+    """
+
+    time_ns: float
+    scheme: str
+    workload: str
+    #: Why the fast controller declined (``build_fast_controller_ex``).
+    reason: str
+    job: str | None = None
+
+
 TelemetryEvent = (
     TableInsert
     | TableEvict
@@ -193,6 +216,7 @@ TelemetryEvent = (
     | CacheHit
     | CacheMiss
     | OracleViolation
+    | FastPathFallback
 )
 
 #: Name -> class, for deserialization and exporter dispatch.
@@ -208,6 +232,7 @@ EVENT_TYPES: dict[str, type] = {
         CacheHit,
         CacheMiss,
         OracleViolation,
+        FastPathFallback,
     )
 }
 

@@ -15,6 +15,19 @@ With telemetry disabled that costs one module-attribute load and one
 read ``_telemetry.BUS`` (attribute access on the module object) rather
 than ``from ... import BUS``, so mid-process installs are observed.
 
+A bus runs at one of two levels, fixed at construction:
+
+* ``events`` (the default, ``TelemetryBus()``) retains per-ACT records
+  -- ``TableInsert``, ``TableEvict``, ``SpilloverBump``, ``NrrEmit``,
+  ``WindowReset``, ``SchedStall`` -- on top of the metrics.  Only the
+  reference engine can produce them, so the fast path declines to
+  build under an ``events`` bus;
+* ``metrics`` (``TelemetryBus(events=False)``) keeps counters and
+  histograms plus job-level events (cache outcomes, fast-path
+  fallbacks, oracle violations).  Per-ACT publish sites gate on
+  ``bus is not None and bus.per_act``, so they publish nothing, and
+  the fast engine runs, folding its aggregates into the registry.
+
 :func:`session` is the supported way to turn telemetry on: it installs
 a bus for the duration of a ``with`` block and restores the previous
 state afterwards, so nested sessions and test isolation both work.
@@ -54,6 +67,9 @@ class TelemetryBus:
             ``events.dropped`` counter records how many), so a
             long-running traced simulation degrades to metrics-only
             instead of exhausting memory.  ``None`` retains everything.
+        events: ``True`` for the ``events`` level (per-ACT records),
+            ``False`` for the ``metrics`` level; stored as
+            :attr:`per_act` (:attr:`events` is the retained list).
     """
 
     def __init__(
@@ -61,14 +77,23 @@ class TelemetryBus:
         registry: MetricsRegistry | None = None,
         sampler: TimeSeriesSampler | None = None,
         max_events: int | None = None,
+        events: bool = True,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.sampler = sampler
         self.max_events = max_events
+        #: Whether per-ACT sites publish into this bus (``events``
+        #: level) or leave it to counters and histograms (``metrics``).
+        self.per_act = events
         self.events: list[TelemetryEvent] = []
         self.dropped = 0
         self._subscribers: list[Callable[[TelemetryEvent], None]] = []
         self._absorbed_samples: list[dict[str, Any]] = []
+
+    @property
+    def level(self) -> str:
+        """``"events"`` or ``"metrics"``."""
+        return "events" if self.per_act else "metrics"
 
     # ------------------------------------------------------------------
     # Publishing
@@ -124,6 +149,7 @@ class TelemetryBus:
                 self.events.append(event)
             else:
                 self.dropped += 1
+                self.registry.counter("events.dropped").inc()
         self.registry.merge(state.get("metrics", {}))
         samples = state.get("samples", ())
         if samples:
@@ -145,7 +171,7 @@ class TelemetryBus:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"TelemetryBus(events={len(self.events)}, "
+            f"TelemetryBus(level={self.level}, events={len(self.events)}, "
             f"dropped={self.dropped}, sampler={self.sampler is not None})"
         )
 

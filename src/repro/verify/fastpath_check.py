@@ -4,9 +4,10 @@ The fast path (:mod:`repro.core.fastpath`) promises *byte-identical*
 results, not approximately-equal ones, and since the kernel registry
 covers every scheme in :data:`KERNEL_SCHEMES` the promise is
 per-scheme.  This subject runs every verify stream through the
-reference stack and two fast stacks -- the whole stream at once, and a
-lazy ``ActEvent`` stream in three chunks -- once per kernel scheme and
-compares everything observable:
+reference stack and three fast stacks -- the whole stream at once, a
+lazy ``ActEvent`` stream in three chunks, and the whole stream under a
+``metrics``-level telemetry bus (``/metrics``) -- once per kernel
+scheme and compares everything observable:
 
 * the serialized :class:`~repro.sim.metrics.SimulationResult` (which
   folds in latency buckets, bank stats and controller counters),
@@ -15,7 +16,10 @@ compares everything observable:
 * each bank's final tracking-table state (Misra-Gries table, TWiCe
   entry table, CBT leaf partition, PARA generator state, refresh-rate
   pointer, the unprotected baseline's ACT count -- see
-  :func:`repro.core.fast_kernels.reference_state`).
+  :func:`repro.core.fast_kernels.reference_state`);
+* for the ``/metrics`` stack, the registry snapshot against the
+  reference run under its own ``metrics`` bus (``fastpath.*`` keys
+  aside), and that neither bus retained a per-ACT event.
 
 PARA is probabilistic but the comparison is still exact: both stacks
 build their engines from the same seeded factory, and the kernel
@@ -24,21 +28,29 @@ scalar loop would.  Any mismatch is a ``divergence`` violation,
 addressable enough for the shrinker to minimize.  The stream is
 repaced to DDR4 timings exactly like the ``mitigation:*`` subjects so
 the two layers see the same traffic.  When the fast path declines to
-build (telemetry bus active), the subject reports itself skipped
-rather than silently passing.
+build (an ``events``-level telemetry bus active, as under
+``verify --telemetry``), the subject reports itself skipped rather
+than silently passing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Any, Sequence
 
 from ..core.fastpath import build_fast_controller_ex
 from ..dram.timing import DDR4_2400
+from ..telemetry.runtime import TelemetryBus, session
 from ..workloads.trace import ActEvent
 from .generators import VerifyScale
 
-__all__ = ["KERNEL_SCHEMES", "run_fastpath_check", "fastpath_subject"]
+__all__ = [
+    "KERNEL_SCHEMES",
+    "run_fastpath_check",
+    "fastpath_subject",
+    "without_fastpath",
+]
 
 #: Same DDR4 pacing the mitigation subjects use (one ACT per tRC).
 _PACE_INTERVAL_NS = 45.0
@@ -103,19 +115,32 @@ def _flip_rows(flips) -> list[tuple]:
     ]
 
 
+def without_fastpath(snapshot: dict[str, Any]) -> dict[str, Any]:
+    """A registry snapshot minus the fast engine's own ``fastpath.*``
+    metrics -- what both engines must agree on."""
+    return {
+        kind: {
+            name: value
+            for name, value in metrics.items()
+            if not name.startswith("fastpath.")
+        }
+        for kind, metrics in snapshot.items()
+    }
+
 def _check_scheme(
     scheme: str,
     paced: Sequence[ActEvent],
     duration_ns: float,
     scale: VerifyScale,
 ) -> tuple[list, dict[str, Any] | None, dict[str, Any]]:
-    """One scheme through the reference stack and both fast stacks.
+    """One scheme through the reference stack and every fast stack.
 
     The ``/chunked`` stack streams the events as a lazy iterable in
     chunks of a third of the stream, so kernel and bank state must
-    carry across chunk boundaries exactly.  Returns ``(violations,
-    skipped, stats)``; ``skipped`` is non-None only when the fast
-    controller refused to build.
+    carry across chunk boundaries exactly.  The ``/metrics`` stack is
+    built and run under a ``metrics``-level bus, as campaign cells
+    are.  Returns ``(violations, skipped, stats)``; ``skipped`` is
+    non-None only when the fast controller refused to build.
     """
     from ..controller.mc import MemoryController
     from ..core.fast_kernels import reference_state
@@ -135,27 +160,36 @@ def _check_scheme(
         )
 
     # (label-suffix, controller, device) per fast stack.
+    metrics_bus = TelemetryBus(events=False)
     stacks = []
-    for label in ("", "/chunked"):
+    for label in ("", "/chunked", "/metrics"):
         fast_device = device()
-        fast, reason = build_fast_controller_ex(
-            fast_device, _mitigation_factory(scheme, trh),
-            keep_directive_log=True,
-        )
+        with (
+            session(metrics_bus) if label == "/metrics"
+            else contextlib.nullcontext()
+        ):
+            fast, reason = build_fast_controller_ex(
+                fast_device, _mitigation_factory(scheme, trh),
+                keep_directive_log=True,
+            )
         if fast is None:
             return [], {"skipped": f"fast path unavailable ({reason})"}, {}
         stacks.append((label, fast, fast_device))
-    (_, whole, _), (_, chunked, _) = stacks
+    (_, whole, _), (_, chunked, _), (_, metered, _) = stacks
 
     ref_device = device()
     reference = MemoryController(
         ref_device, _mitigation_factory(scheme, trh),
         keep_directive_log=True,
     )
+    ref_bus = TelemetryBus(events=False)
     try:
-        reference.run(iter(paced))
+        with session(ref_bus):
+            reference.run(iter(paced))
         whole.run(TraceArray.from_events(paced))
         chunked.run(iter(paced), chunk_events=max(1, len(paced) // 3))
+        with session(metrics_bus):
+            metered.run(TraceArray.from_events(paced))
     except Exception as exc:  # noqa: BLE001 - crash capture is the point
         return (
             [Violation(
@@ -252,6 +286,37 @@ def _check_scheme(
                     stats,
                 )
 
+    tag = f"{scheme}/metrics"
+    ref_metrics = without_fastpath(ref_bus.registry.snapshot())
+    fast_metrics = without_fastpath(metrics_bus.registry.snapshot())
+    if ref_metrics != fast_metrics:
+        diverged = "; ".join(
+            f"{name}: ref={ref.get(name)!r} fast={fast.get(name)!r}"
+            for ref, fast in (
+                (ref_metrics[kind], fast_metrics[kind]) for kind in ref_metrics
+            )
+            for name in sorted(set(ref) | set(fast))
+            if ref.get(name) != fast.get(name)
+        )
+        return (
+            [Violation(
+                subject, "divergence",
+                f"[{tag}] metrics registry diverged: {diverged}",
+            )],
+            None,
+            stats,
+        )
+    retained = [type(e).__name__ for e in ref_bus.events + metrics_bus.events]
+    if retained:
+        return (
+            [Violation(
+                subject, "divergence",
+                f"[{tag}] a metrics bus retained per-ACT events: "
+                f"{sorted(set(retained))}",
+            )],
+            None,
+            stats,
+        )
     return [], None, stats
 
 
@@ -277,9 +342,9 @@ def run_fastpath_check(
             scheme, paced, duration_ns, scale
         )
         if skipped is not None:
-            # Telemetry bus installed: the fast path correctly refuses
-            # to build (it cannot publish per-ACT events) for every
-            # scheme alike.  Nothing to compare.
+            # Events-level bus installed: the fast path correctly
+            # refuses to build (it cannot publish per-ACT events) for
+            # every scheme alike.  Nothing to compare.
             return [], skipped
         if violations:
             return violations, stats

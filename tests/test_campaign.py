@@ -26,9 +26,12 @@ from repro.campaign import (
     load_spec,
     write_report,
 )
+from repro.campaign.driver import METRICS_RECORD
 from repro.campaign.progress import format_eta
+from repro.campaign.report import _telemetry_rollup
 from repro.cli import main
 from repro.telemetry.events import OracleViolation
+from repro.telemetry.export import iter_jsonl
 
 TINY = {
     "name": "tiny",
@@ -344,6 +347,30 @@ class TestDriver:
         assert lines
         assert all(json.loads(line)["type"] for line in lines[:10])
 
+    def test_cells_run_on_the_fast_engine_under_a_metrics_bus(
+        self, tmp_path
+    ):
+        """The stream holds job-level events and metrics records only:
+        no per-ACT event, and every cell on the fast engine."""
+        directory = tmp_path / "camp"
+        CampaignDriver.start(tiny_spec(engine="fast"), directory).run()
+        records = [
+            json.loads(line)
+            for line in (directory / "telemetry.jsonl")
+            .read_text(encoding="utf-8")
+            .splitlines()
+        ]
+        assert {r["type"] for r in records} == {
+            "CacheMiss", METRICS_RECORD,
+        }
+        counters = records[-1]["metrics"]["counters"]
+        acts = counters["sched.acts"]
+        assert acts > 0
+        assert sum(
+            value for name, value in counters.items()
+            if name.startswith("fastpath.") and name.endswith("_acts")
+        ) == acts
+
     def test_cache_resolves_cells_after_manifest_loss(self, tmp_path):
         directory = tmp_path / "camp"
         spec = tiny_spec(schemes=["graphene"], workloads=["S3"])
@@ -374,6 +401,49 @@ class TestReport:
         assert "cells completed" in html
         assert "prefers-color-scheme: dark" in html
         assert 'data-theme="dark"' in html
+
+    def test_resumed_report_totals_match_one_go(self, tmp_path):
+        """Counter totals sum the last metrics record of each driver
+        run, so an interrupted-and-resumed campaign reports what the
+        same campaign run in one go does."""
+        spec = tiny_spec(engine="fast")
+        # One cell per batch: every run appends several cumulative
+        # metrics records, of which only the last may count.
+        CampaignDriver.start(spec, tmp_path / "once", batch_size=1).run()
+        CampaignDriver.start(
+            spec, tmp_path / "split", batch_size=1
+        ).run(max_cells=2)
+        CampaignDriver.resume(tmp_path / "split", batch_size=1).run()
+
+        def rollup(directory):
+            return _telemetry_rollup(
+                iter_jsonl(directory / "telemetry.jsonl")
+            )["counters"]
+
+        def counter_table(directory):
+            html = write_report(directory).read_text(encoding="utf-8")
+            start = html.index("<h2>Telemetry counters</h2>")
+            return html[start:html.index("</table>", start)]
+
+        once = rollup(tmp_path / "once")
+        assert once["cache.misses"] == 4
+        assert once["sched.acts"] > 0
+        assert rollup(tmp_path / "split") == once
+        assert counter_table(tmp_path / "split") == counter_table(
+            tmp_path / "once"
+        )
+
+    def test_report_lists_fast_path_fallbacks_per_cell(self, tmp_path):
+        directory = tmp_path / "camp"
+        spec = tiny_spec(
+            engine="fast", schemes=["graphene", "prohit"], workloads=["S3"]
+        )
+        CampaignDriver.start(spec, directory).run()
+        html = write_report(directory).read_text(encoding="utf-8")
+        assert "Fast-path fallbacks (1)" in html
+        (prohit,) = [c for c in spec.cells() if c.scheme == "prohit"]
+        assert f"<code>{prohit.cell_id}</code>" in html
+        assert "no batched kernel for scheme" in html
 
     def test_report_renders_from_recorded_artifacts_only(self, tmp_path):
         # No driver in sight: hand-written manifest + telemetry JSONL,

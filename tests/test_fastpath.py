@@ -281,6 +281,44 @@ class TestSimulateFastPath:
             assert build_fast_controller(device, factory) is None
         assert build_fast_controller(device, factory) is not None
 
+    def test_builds_under_metrics_level_bus(self):
+        """A ``metrics`` bus takes no per-ACT events, so the fast
+        controller builds under it."""
+        from repro.telemetry import TelemetryBus, session
+
+        device = build_device(banks=1, track_faults=False)
+        factory = graphene_factory(GrapheneConfig())
+        with session(TelemetryBus(events=False)):
+            controller, reason = build_fast_controller_ex(device, factory)
+        assert controller is not None and reason is None
+
+    @pytest.mark.parametrize("per_act", [True, False])
+    def test_fallback_publishes_one_typed_event(self, per_act):
+        """A fallback reaches an installed bus as one job-level
+        ``FastPathFallback``, at either level: under ``events`` the bus
+        forces it, under ``metrics`` only a scheme without a kernel
+        does."""
+        from repro.telemetry import FastPathFallback, TelemetryBus, session
+
+        trace = _interleaved_trace(banks=1, acts_per_bank=200)
+        kwargs = dict(workload="hammer", banks=1, track_faults=False)
+        cases = [
+            ("graphene", graphene_factory(GrapheneConfig())),
+            ("prohit", prohit_factory(insert_probability=0.02, seed=42)),
+        ]
+        bus = TelemetryBus(events=per_act)
+        with session(bus):
+            for scheme, factory in cases:
+                simulate(trace, factory, scheme=scheme, fast=True, **kwargs)
+        fallbacks = [e for e in bus.events if isinstance(e, FastPathFallback)]
+        expected = ["graphene", "prohit"] if per_act else ["prohit"]
+        assert [e.scheme for e in fallbacks] == expected
+        assert all(e.workload == "hammer" for e in fallbacks)
+        reason = "events-level telemetry bus" if per_act else (
+            "no batched kernel"
+        )
+        assert all(reason in e.reason for e in fallbacks)
+
 
 class TestEmptyStreamRegression:
     """Satellite bugfix: an empty stream must not fabricate a window."""
@@ -371,6 +409,26 @@ class TestDifferentialSubject:
         assert violations, "corrupted kernel state went undetected"
         assert violations[0].kind == "divergence"
         assert "[graphene" in violations[0].detail
+
+    def test_metrics_leg_catches_a_dropped_delay(self, monkeypatch):
+        """The ``/metrics`` stack compares registries, not just results:
+        publishing one delayed ACT too few must be flagged even though
+        every ``SimulationResult`` still matches."""
+        from repro.core import fastpath
+
+        original = fastpath._publish_delays
+        monkeypatch.setattr(
+            fastpath, "_publish_delays",
+            lambda registry, count, pos: original(registry, count, pos[1:]),
+        )
+        events = generate_stream(
+            StreamSpec(generator="random", seed=9, length=600),
+            DEFAULT_SCALE,
+        )
+        violations, _ = run_fastpath_check(events, DEFAULT_SCALE)
+        assert violations and violations[0].kind == "divergence"
+        assert "/metrics] metrics registry diverged" in violations[0].detail
+        assert "sched.delayed_acts" in violations[0].detail
 
 
 class TestFastControllerConstruction:
@@ -557,6 +615,73 @@ class TestKernelSchemes:
                 source, factory, fast=True,
                 chunk_events=8 if streamed else None, **kwargs,
             )
+
+
+#: The per-ACT event types; only an ``events``-level bus receives them.
+_PER_ACT_EVENTS = {
+    "TableInsert", "TableEvict", "SpilloverBump", "NrrEmit", "WindowReset",
+    "SchedStall",
+}
+
+
+class TestMetricsLevelParity:
+    """Under a ``metrics`` bus both engines publish the same registry."""
+
+    @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
+    def test_registry_matches_reference(self, scheme):
+        from repro.telemetry import TelemetryBus, session
+        from repro.verify.fastpath_check import without_fastpath
+
+        trace = _round_robin_trace(acts_per_bank=1000)
+        kwargs = dict(
+            scheme=scheme,
+            workload="rr8",
+            banks=8,
+            rows_per_bank=512,
+            hammer_threshold=DEFAULT_SCALE.mitigation_trh,
+            track_faults=True,
+        )
+
+        def run(fast: bool, chunk_events: int | None = None):
+            bus = TelemetryBus(events=False)
+            factory = _mitigation_factory(
+                scheme, DEFAULT_SCALE.mitigation_trh
+            )
+            with session(bus):
+                result = simulate(trace, factory, fast=fast,
+                                  chunk_events=chunk_events, **kwargs)
+            assert not {type(e).__name__ for e in bus.events} & (
+                _PER_ACT_EVENTS
+            )
+            return result.to_dict(), bus.registry.snapshot()
+
+        reference, ref_metrics = run(fast=False)
+        assert ref_metrics["counters"]["sched.acts"] == len(trace)
+        if scheme != "none":  # the unprotected baseline never stalls
+            assert ref_metrics["counters"]["sched.delayed_acts"] > 0
+        for chunk_events in (None, 1000):
+            fast, fast_metrics = run(True, chunk_events)
+            assert fast == reference
+            assert without_fastpath(fast_metrics) == ref_metrics
+            counters = fast_metrics["counters"]
+            assert counters["fastpath.chunks"] == (
+                1 if chunk_events is None else len(trace) // chunk_events
+            )
+            name = f"fastpath.{_fastpath_label(counters)}"
+            assert (
+                counters[f"{name}.vector_acts"]
+                + counters[f"{name}.scalar_acts"]
+            ) == len(trace)
+
+
+def _fastpath_label(counters) -> str:
+    """The scheme label of a fast run's ``fastpath.<scheme>.*`` keys."""
+    (label,) = {
+        name.split(".")[1]
+        for name in counters
+        if name.endswith(".vector_acts")
+    }
+    return label
 
 
 class TestRunnerFallbackNotes:

@@ -39,6 +39,13 @@ def count_call(counter_path: str, value: int = 7, **_knobs) -> int:
     return value
 
 
+def bus_level(**_knobs) -> str:
+    """Job target: the level of the telemetry bus the job runs under."""
+    from repro.telemetry import runtime
+
+    return runtime.BUS.level
+
+
 def _counting_job(path, value: int = 7, **extra) -> Job:
     return Job(
         fn="tests.test_runner_cache:count_call",
@@ -236,6 +243,25 @@ class TestSimJobs:
     def test_cached_result_survives_pickle(self, tmp_path):
         result = run_sim_spec(**SIM_SPEC)
         assert pickle.loads(pickle.dumps(result)) == result
+
+
+class TestJobTelemetryLevel:
+    """Each traced job's bus runs at its parent bus's level, so a
+    ``metrics`` parent keeps fast-engine jobs on the fast engine."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("per_act", [False, True])
+    def test_job_buses_take_the_parent_level(self, jobs, per_act):
+        from repro.telemetry import TelemetryBus, session
+
+        batch = [
+            Job(fn="tests.test_runner_cache:bus_level", kwargs={"index": i})
+            for i in range(2)
+        ]
+        parent = TelemetryBus(events=per_act)
+        with session(parent):
+            levels = ExperimentRunner(jobs=jobs).run(batch)
+        assert levels == [parent.level] * 2
 
 
 class TestParallelDeterminism:

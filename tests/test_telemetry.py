@@ -200,6 +200,48 @@ def test_bus_event_cap_counts_drops():
     assert bus.registry.counter("events.dropped").value == 3
 
 
+def test_absorb_event_cap_counts_drops():
+    """Events dropped while absorbing a job's state count in the
+    registry too, not only in ``bus.dropped``."""
+    worker = TelemetryBus()
+    for index in range(5):
+        worker.publish(SpilloverBump(time_ns=float(index), bank=0,
+                                     row=index, spillover=index))
+    bus = TelemetryBus(max_events=2)
+    bus.absorb(worker.export_state(), job="cell")
+    assert len(bus.events) == 2
+    assert bus.dropped == 3
+    assert bus.registry.counter("events.dropped").value == 3
+
+
+def test_metrics_level_bus_takes_no_per_act_events():
+    """A ``metrics`` bus keeps the scheduler's counters and histogram
+    but none of the per-ACT records an ``events`` bus retains."""
+    rows = double_sided_rows(victim=1000)
+    factory = scheme_factories(400)["graphene"]
+    buses = {}
+    for per_act in (True, False):
+        buses[per_act] = bus = TelemetryBus(events=per_act)
+        with session(bus):
+            simulate(synthetic_events(rows, duration_ns=2e6), factory,
+                     scheme="graphene", workload="double-sided")
+    events, metrics = buses[True], buses[False]
+    assert (events.level, metrics.level) == ("events", "metrics")
+    assert {type(e).__name__ for e in events.events} >= {
+        "TableInsert", "NrrEmit", "SchedStall",
+    }
+    assert metrics.events == []
+    assert metrics.registry.snapshot() == {
+        "counters": {
+            name: value
+            for name, value in events.registry.snapshot()["counters"].items()
+            if name.startswith("sched.")
+        },
+        "gauges": {},
+        "histograms": events.registry.snapshot()["histograms"],
+    }
+
+
 # ----------------------------------------------------------------------
 # Sampler
 # ----------------------------------------------------------------------
