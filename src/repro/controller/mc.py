@@ -17,6 +17,8 @@ paper's evaluation (Section V-B methodology).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,7 +30,21 @@ from ..telemetry.events import NrrEmit, SchedStall
 from ..workloads.trace import ActEvent
 from .scheduler import LatencySummary, LatencyTracker
 
-__all__ = ["ControllerCounters", "MemoryController"]
+__all__ = ["ControllerCounters", "MemoryController", "event_time_error"]
+
+#: What the first event's time is checked against: any finite time
+#: passes, ``-inf`` does not.
+FIRST_EVENT_FLOOR_NS = -sys.float_info.max
+
+
+def event_time_error(time_ns: float, previous_ns: float) -> ValueError:
+    """The error both engines raise for a non-finite or unsorted time."""
+    if not math.isfinite(time_ns):
+        return ValueError(f"event time {time_ns!r} ns is not finite")
+    return ValueError(
+        f"event time {time_ns!r} ns precedes the previous event's "
+        f"{previous_ns!r} ns; ACT streams must be sorted by time"
+    )
 
 
 def _engine_probe(engine: MitigationEngine):
@@ -94,6 +110,7 @@ class MemoryController:
         self.directive_log: list[RefreshDirective] | None = (
             [] if keep_directive_log else None
         )
+        self._last_time_ns = FIRST_EVENT_FLOOR_NS
         bus = _telemetry.BUS
         if bus is not None and bus.sampler is not None:
             for bank, engine in enumerate(self.engines):
@@ -104,12 +121,20 @@ class MemoryController:
     # ------------------------------------------------------------------
 
     def run(self, events: Iterable[ActEvent]) -> None:
-        """Drive the full system from a time-sorted ACT stream."""
+        """Drive the full system from a time-sorted ACT stream.
+
+        A non-finite time, or one before the previous event's, raises
+        ``ValueError`` (:func:`event_time_error`) at that event.
+        """
         for event in events:
             self.step(event)
 
     def step(self, event: ActEvent) -> list[RefreshDirective]:
         """Process one ACT end to end; returns directives it caused."""
+        time_ns = event.time_ns
+        if not self._last_time_ns <= time_ns < math.inf:
+            raise event_time_error(time_ns, self._last_time_ns)
+        self._last_time_ns = time_ns
         engines = self.engines
         if not 0 <= event.bank < len(engines):
             raise IndexError(

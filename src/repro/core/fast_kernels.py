@@ -82,6 +82,29 @@ at a time.  The per-scheme batching arguments:
   the banked lane cuts each bank's events at that bank's *own* next
   auto-refresh instead of the earliest one across banks.
 
+* **PRoHIT** draws one double from its ``random.Random`` per in-range
+  neighbor of every ACT and samples the victim into its hot/cold tables
+  when the draw is below ``q``.  CPython's ``random()`` and numpy's
+  legacy ``RandomState.random_sample`` build each double from two
+  MT19937 words the same way, so the kernel loads the engine's state
+  into a ``RandomState``, draws the whole run's doubles at once, and
+  sends each sampled victim through the engine's own
+  ``_sample_victim``, in order.  ``getrandbits(64 * k)`` then advances
+  the engine's generator past exactly the ``k`` draws the committed
+  ACTs consume (two words per draw, one C call; reading the state back
+  out of numpy costs about ten times more).  ACTs never emit directives
+  and the tables are read only at REF, a blocking event, so the whole
+  timing-valid run commits -- except that with
+  ``promotion_probability < 1`` a sampled victim found in the cold
+  table takes an extra draw, and the batch cuts before that ACT.
+* **CRA** keeps exact per-row counters behind an LRU counter cache.  A
+  run of cache hits commits like TWiCe's entries: per-row
+  ``+= occurrences``, ``move_to_end`` in last-occurrence order and
+  ``cache_hits += n``.  The batch cuts before the first miss (eviction
+  and write-back replay scalar) and before the first ACT whose count
+  reaches ``act_threshold``; the tREFW reset is a scheme blocking
+  boundary.
+
 ``reference_state(engine)`` produces the comparable table snapshot for
 any kernel-covered scheme; the differential subject
 (:mod:`repro.verify.fastpath_check`) uses it on both the reference
@@ -101,7 +124,9 @@ from ..mitigations.cbt import CBT
 from ..mitigations.comet import CoMeTMitigation
 from ..mitigations.graphene import GrapheneMitigation
 from ..mitigations.none import NoMitigation
+from ..mitigations.cra import CRA
 from ..mitigations.para import PARA
+from ..mitigations.prohit import PRoHIT
 from ..mitigations.refresh_rate import IncreasedRefreshRate
 from ..mitigations.twice import TWiCe, _Entry
 from .fastpath import register_kernel
@@ -115,6 +140,8 @@ __all__ = [
     "FastCometKernel",
     "FastAbacusKernel",
     "FastNoneKernel",
+    "FastProhitKernel",
+    "FastCraKernel",
     "reference_state",
     "reference_table_state",
 ]
@@ -148,6 +175,22 @@ class _WrappedKernel:
 
     def describe(self) -> str:
         return self.mitigation.describe()
+
+
+def _first_crossing(
+    inverse: np.ndarray, occurrences: np.ndarray, needed: np.ndarray,
+    extent: int,
+) -> int:
+    """The first event at which some row's occurrence count reaches its
+    ``needed`` (``extent`` if none does).
+
+    ``inverse`` maps each event of the run to its row's index,
+    ``occurrences`` counts them per row.
+    """
+    for u in np.flatnonzero(occurrences >= needed):
+        positions = np.flatnonzero(inverse == u)
+        extent = min(extent, int(positions[int(needed[u]) - 1]))
+    return extent
 
 
 class FastGrapheneKernel(_WrappedKernel):
@@ -346,6 +389,133 @@ class FastParaKernel(_WrappedKernel):
         return first, []
 
 
+class FastProhitKernel(_WrappedKernel):
+    """Bulk-draw PRoHIT: every ACT's victim draws in one numpy call.
+
+    The engine's ``random.Random`` state is copied into a
+    ``numpy.random.RandomState`` whose ``random_sample`` yields the same
+    doubles as ``random()``; each sampled victim then goes through the
+    engine's own ``_sample_victim`` in draw order, and the engine's
+    generator is advanced past the committed draws with
+    ``getrandbits``.
+    """
+
+    def __init__(self, mitigation: PRoHIT) -> None:
+        super().__init__(mitigation)
+        self._bulk = np.random.RandomState()
+
+    def commit_run(
+        self, times: np.ndarray, rows: np.ndarray
+    ) -> tuple[int, list[RefreshDirective]]:
+        m: PRoHIT = self.mitigation
+        n = len(rows)
+        # ``neighbors_of(row)`` order: row - 1, then row + 1, in range.
+        neighbors = np.stack((rows - 1, rows + 1), axis=1).ravel()
+        drawn = np.flatnonzero((neighbors >= 0) & (neighbors < m.rows))
+        owner = drawn >> 1
+        rng = m._rng
+        internal = rng.getstate()[1]
+        self._bulk.set_state(("MT19937", internal[:-1], internal[-1]))
+        draws = self._bulk.random_sample(len(drawn))
+        sampled = np.flatnonzero(draws < m.insert_probability)
+        consumed = n
+        if len(sampled):
+            victims = neighbors[drawn[sampled]].tolist()
+            acts = owner[sampled].tolist()
+            consumed = self._sample(m, victims, acts, n)
+        used = len(drawn) if consumed == n else int(
+            np.searchsorted(owner, consumed)
+        )
+        if used:
+            # Each double is two 32-bit words; so is each 64 bits here.
+            rng.getrandbits(64 * used)
+        self.stats.activations += consumed
+        return consumed, []
+
+    @staticmethod
+    def _sample(m: PRoHIT, victims: list, acts: list, n: int) -> int:
+        """Sample ``victims`` in order; the ACT count committed.
+
+        With ``promotion_probability < 1``, a cold-table victim takes an
+        extra draw: restore the tables to before that victim's ACT and
+        stop there, so the ACT replays scalar.
+        """
+        extra_draws = m.promotion_probability < 1.0
+        current = -1
+        for victim, act in zip(victims, acts):
+            if extra_draws:
+                if act != current:
+                    current = act
+                    saved = (m._hot[:], m._cold[:])
+                if victim in m._cold:
+                    m._hot[:], m._cold[:] = saved
+                    return act
+            m._sample_victim(victim)
+        return n
+
+
+class FastCraKernel(_WrappedKernel):
+    """Batched CRA counter-cache hits.
+
+    Between events every cached count sits strictly below
+    ``act_threshold`` (a trigger resets it to zero), so a run of hits
+    commits per-row ``+= occurrences`` up to (not including) the first
+    miss or the first ACT that would reach the threshold.  The LRU
+    order after the run is the untouched rows, then the touched ones
+    by last occurrence.
+    """
+
+    def next_blocking_ns(self) -> float:
+        m: CRA = self.mitigation
+        return (m._current_window + 1) * m._window_length_ns
+
+    def commit_run(
+        self, times: np.ndarray, rows: np.ndarray
+    ) -> tuple[int, list[RefreshDirective]]:
+        m: CRA = self.mitigation
+        cache = m._cache
+        extent = len(rows)
+        uniq, first_pos, inverse = np.unique(
+            rows, return_index=True, return_inverse=True
+        )
+        present = np.fromiter(
+            (int(u) in cache for u in uniq),
+            dtype=np.bool_,
+            count=len(uniq),
+        )
+        if not present.all():
+            # A miss evicts and writes back: scalar territory.
+            extent = int(first_pos[~present].min())
+            if extent == 0:
+                return 0, []
+            inverse = inverse[:extent]
+        counts = np.fromiter(
+            (cache[int(u)] if present[i] else 0 for i, u in enumerate(uniq)),
+            dtype=np.int64,
+            count=len(uniq),
+        )
+        needed = np.maximum(m.act_threshold - counts, 1)
+        occurrences = np.bincount(inverse, minlength=len(uniq))
+        cut = _first_crossing(inverse, occurrences, needed, extent)
+        if cut < extent:
+            if cut == 0:
+                return 0, []
+            extent = cut
+            inverse = inverse[:extent]
+            occurrences = np.bincount(inverse, minlength=len(uniq))
+        # Last occurrence of each touched row inside the prefix.
+        last_pos = np.full(len(uniq), -1, dtype=np.int64)
+        last_pos[inverse] = np.arange(extent)
+        touched = np.flatnonzero(occurrences)
+        for u in touched[np.argsort(last_pos[touched])].tolist():
+            row = int(uniq[u])
+            cache[row] += int(occurrences[u])
+            cache.move_to_end(row)
+        m.cache_hits += extent
+        self.stats.activations += extent
+        return extent, []
+
+
 class FastTwiceKernel(_WrappedKernel):
     """Vectorized TWiCe entry-table update.
 
@@ -386,17 +556,11 @@ class FastTwiceKernel(_WrappedKernel):
         # mis-indexing.
         needed = np.maximum(m.act_threshold - counts, 1)
         occurrences = np.bincount(inverse, minlength=len(uniq))
-        crossing = occurrences >= needed
-        if crossing.any():
-            first_trigger = extent
-            for u in np.flatnonzero(crossing):
-                positions = np.flatnonzero(inverse == u)
-                event_index = int(positions[int(needed[u]) - 1])
-                if event_index < first_trigger:
-                    first_trigger = event_index
-            extent = first_trigger
-            if extent == 0:
+        cut = _first_crossing(inverse, occurrences, needed, extent)
+        if cut < extent:
+            if cut == 0:
                 return 0, []
+            extent = cut
             inverse = inverse[:extent]
             occurrences = np.bincount(inverse, minlength=len(uniq))
 
@@ -581,17 +745,11 @@ class FastCometKernel(_WrappedKernel):
         # the clamp makes such a row cut at its first occurrence.
         needed = np.maximum(m.threshold - counts, 1)
         occurrences = np.bincount(inverse, minlength=len(uniq))
-        crossing = occurrences >= needed
-        if crossing.any():
-            first_trigger = extent
-            for u in np.flatnonzero(crossing):
-                positions = np.flatnonzero(inverse == u)
-                event_index = int(positions[int(needed[u]) - 1])
-                if event_index < first_trigger:
-                    first_trigger = event_index
-            extent = first_trigger
-            if extent == 0:
+        cut = _first_crossing(inverse, occurrences, needed, extent)
+        if cut < extent:
+            if cut == 0:
                 return 0, []
+            extent = cut
             occurrences = np.bincount(
                 inverse[:extent], minlength=len(uniq)
             )
@@ -676,17 +834,11 @@ class FastAbacusKernel(_WrappedKernel):
         to_next = state.threshold - racs % state.threshold
         needed = np.maximum(to_next + np.where(has_bit, 0, 1), 1)
         occurrences = np.bincount(inverse, minlength=len(uniq))
-        crossing = occurrences >= needed
-        if crossing.any():
-            first_trigger = extent
-            for u in np.flatnonzero(crossing):
-                positions = np.flatnonzero(inverse == u)
-                event_index = int(positions[int(needed[u]) - 1])
-                if event_index < first_trigger:
-                    first_trigger = event_index
-            extent = first_trigger
-            if extent == 0:
+        cut = _first_crossing(inverse, occurrences, needed, extent)
+        if cut < extent:
+            if cut == 0:
                 return 0, []
+            extent = cut
             occurrences = np.bincount(
                 inverse[:extent], minlength=len(uniq)
             )
@@ -937,6 +1089,22 @@ def reference_state(engine: Any) -> dict[str, Any]:
             "insertions": engine.cstats.rat_insertions,
             "tracked_peak": engine.cstats.tracked_peak,
         }
+    if isinstance(engine, PRoHIT):
+        return {
+            "hot": list(engine._hot),
+            "cold": list(engine._cold),
+            "rng": engine._rng.getstate(),
+            "ref_commands": engine._ref_commands_seen,
+        }
+    if isinstance(engine, CRA):
+        return {
+            "cache": list(engine._cache.items()),
+            "backing": dict(engine._backing),
+            "hits": engine.cache_hits,
+            "misses": engine.cache_misses,
+            "writebacks": engine.writebacks,
+            "window": engine._current_window,
+        }
     if isinstance(engine, AbacusMitigation):
         state = engine.state
         # Shared across banks: every bank reports the same snapshot,
@@ -964,3 +1132,5 @@ register_kernel(IncreasedRefreshRate, FastRefreshRateKernel)
 register_kernel(CoMeTMitigation, FastCometKernel)
 register_kernel(AbacusMitigation, FastAbacusKernel)
 register_kernel(NoMitigation, FastNoneKernel)
+register_kernel(PRoHIT, FastProhitKernel)
+register_kernel(CRA, FastCraKernel)

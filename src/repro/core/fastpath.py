@@ -48,7 +48,9 @@ contents, same bit flips.  This is possible because:
   accumulator reproduces the scalar loop's partial sums bit-for-bit
   (never ``np.sum``, whose pairwise reduction rounds differently);
 * a vector segment is truncated before the first auto-refresh pop or
-  scheme blocking boundary (:meth:`FastKernel.next_blocking_ns`), and
+  scheme blocking boundary (:meth:`FastKernel.next_blocking_ns`) and,
+  with the fault referee on, before the first ACT that would flip a
+  bit (:meth:`~repro.dram.faults.HammerFaultModel.batch`), and
   each kernel's ``commit_run`` truncates before the first event whose
   outcome the bulk update cannot reproduce (threshold crossing, RNG
   success, tree split, and for some schemes a table miss); those
@@ -72,10 +74,11 @@ once per chunk: ``fastpath.chunks`` and, per kernel scheme,
 
 The fast path never runs under an ``events``-level bus (it cannot
 produce the per-ACT records that level retains) or when any bank's
-scheme has no registered kernel (PRoHIT, MRLoc, CRA and the oracle;
-every scheme of Fig. 8 has one); :func:`build_fast_controller` returns
-``None`` (and :func:`build_fast_controller_ex` additionally names the
-reason) and callers fall back to the reference engine.
+scheme has no registered kernel (MRLoc and the oracle; every other
+scheme of Fig. 8 and the capability matrix has one);
+:func:`build_fast_controller` returns ``None`` (and
+:func:`build_fast_controller_ex` additionally names the reason) and
+callers fall back to the reference engine.
 ``docs/performance.md`` ("Hot path") documents the design, the
 per-scheme kernel coverage and the measured speedups.
 """
@@ -88,7 +91,11 @@ from typing import Any, Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..controller.mc import ControllerCounters
+from ..controller.mc import (
+    FIRST_EVENT_FLOOR_NS,
+    ControllerCounters,
+    event_time_error,
+)
 from ..controller.scheduler import LatencySummary, LatencyTracker
 from ..dram.device import DramDevice
 from ..dram.faults import BitFlip
@@ -302,16 +309,15 @@ class _LaneEngine:
                     rows[index:limit],
                     gids[index:limit],
                     delays,
-                    flips_out,
                     directives_out,
                 )
-                if consumed:
+                if consumed or kernel_cut:
                     index += consumed
                     vector_fails = 0
-                    # A partial commit proves the *next* event is
-                    # table-special (miss, crossing, RNG success): one
-                    # scalar replay clears it, so skip the vector
-                    # attempt that is guaranteed to return 0 on it.
+                    # A cut proves the *next* event is special (miss,
+                    # crossing, RNG success, bit flip): one scalar
+                    # replay clears it, so skip the vector attempt that
+                    # is guaranteed to return 0 on it.
                     scalar_budget = 1 if kernel_cut else 0
                     continue
                 # A timing-boundary failure (REF tick, window edge,
@@ -398,7 +404,6 @@ class _LaneEngine:
         rows: np.ndarray,
         gids: np.ndarray,
         delays: np.ndarray,
-        flips_out: list,
         directives_out: list,
     ) -> tuple[int, bool, bool]:
         """Consume a prefix of ``times``/``rows`` in bulk; 0 if none.
@@ -411,11 +416,16 @@ class _LaneEngine:
         epsilon expressions (``legal <= candidate + 1e-9``) verbatim so
         the regime boundary is decided by the same float operations.
 
+        With the fault referee on, the prefix is also cut before the
+        first ACT that would flip a bit (:meth:`HammerFaultModel.batch`),
+        and the referee commits exactly the ACTs the kernel consumed.
+
         Returns ``(consumed, table_bound, kernel_cut)``: ``table_bound``
         flags a zero-consumption *tracking* failure (the stream may be
-        miss-heavy; the caller backs off), ``kernel_cut`` flags a
-        partial commit truncated by the kernel (the next event is
-        provably table-special; exactly one scalar replay clears it).
+        miss-heavy; the caller backs off), ``kernel_cut`` flags a commit
+        truncated by the kernel or the referee (the next event is
+        provably special; exactly one scalar replay clears it).  A flip
+        on the first event returns ``(0, False, True)``.
         """
         bank = bank_model.bank
         trc = bank.timings.trc
@@ -441,6 +451,8 @@ class _LaneEngine:
         if clock <= t0 and next_act <= t0 + 1e-9 and busy <= t0 + 1e-9:
             # Idle regime: every ACT issues at its trace time.  Needs
             # prev_time + trc legal (within epsilon) at each successor.
+            # Times are sorted (``_check_addresses``), so searchsorted
+            # finds the first one at or past the blocking event.
             extent = int(np.searchsorted(times, blocking_ns, side="left"))
             if extent == 0:
                 return 0, False, False
@@ -449,11 +461,6 @@ class _LaneEngine:
             if not gaps_ok.all():
                 extent = int(np.argmin(gaps_ok)) + 1
                 times = times[:extent]
-            # gaps_ok makes the prefix strictly increasing, so its last
-            # element is its max; this re-check keeps the searchsorted
-            # bound honest even if the input was not globally sorted.
-            if float(times[extent - 1]) >= blocking_ns:
-                return 0, False, False
             issue = times
         elif busy <= next_act and next_act > t0 + 1e-9 and next_act > clock + 1e-9:
             # Saturated regime: ACTs queue back-to-back, each issuing at
@@ -487,15 +494,26 @@ class _LaneEngine:
         else:
             return 0, False, False
 
+        # Fault referee: cut before the first ACT that would flip a bit,
+        # so that ACT replays scalar (where the BitFlip is built).
+        timing_extent = extent
+        referee = None
+        if bank_model.faults is not None:
+            referee = bank_model.faults.batch(rows[:extent])
+            if referee.cut == 0:
+                return 0, False, True
+            extent = min(extent, referee.cut)
+
         # Tracking phase: the kernel absorbs as much of the prefix as
         # bulk arithmetic can reproduce; the truncating event (miss,
-        # crossing, RNG success, split) replays scalar next iteration.
+        # crossing, RNG success, split, flip) replays scalar next
+        # iteration.
         consumed, directives = kernel.commit_run(
             issue[:extent], rows[:extent]
         )
         if consumed == 0:
             return 0, True, False
-        kernel_cut = consumed < extent
+        kernel_cut = consumed < timing_extent
         extent = consumed
 
         # ---- Commit the batch ----------------------------------------
@@ -516,13 +534,8 @@ class _LaneEngine:
             # array is already zero-initialized.
             delays[gids[:extent]] = issue[:extent] - times[:extent]
 
-        if bank_model.faults is not None:
-            faults = bank_model.faults
-            for k in range(extent):
-                flips = faults.on_activate(int(rows[k]), float(issue[k]))
-                if flips:
-                    flips_out.append((int(gids[k]), flips))
-                    self.counters.bit_flips += len(flips)
+        if referee is not None:
+            referee.commit(extent)
 
         for directive in directives:
             self._execute_directive(
@@ -574,6 +587,9 @@ class FastMemoryController:
         #: Timestamp of the last event consumed (across all chunks), so
         #: streaming callers need not keep the trace around.
         self.last_event_ns = 0.0
+        #: The previous checked event's time: the next chunk's first
+        #: event must not precede it.
+        self._time_floor_ns = FIRST_EVENT_FLOOR_NS
         self._lane = _LaneEngine(
             self.counters, keep_directive_log, bank_of=device.bank
         )
@@ -597,7 +613,9 @@ class FastMemoryController:
         With ``chunk_events`` the stream executes in bounded chunks
         (state carried across boundaries; an iterable input is never
         fully materialized); without it, non-array input is
-        materialized into one :class:`TraceArray` first.
+        materialized into one :class:`TraceArray` first.  Raises the
+        reference's errors for unsorted or non-finite times and
+        out-of-range banks or rows, at the same event.
         """
         if chunk_events is not None:
             chunks = iter_chunk_arrays(events, chunk_events)
@@ -623,24 +641,38 @@ class FastMemoryController:
         registry.counter(f"{prefix}.scalar_acts").inc(acts - vector)
 
     def _check_addresses(self, trace: TraceArray) -> TraceArray:
-        """Raise the reference's ``IndexError`` for the first bad event.
+        """Raise the reference's error for the first bad event.
 
-        The reference checks an event's bank in ``MemoryController.step``
-        and its row in the bank model's ``activate``; vector commits
-        reach neither, so one O(n) check per chunk stands in for both,
-        in the same order.
+        The reference checks an event's time (finite, not before the
+        previous event's) and bank in ``MemoryController.step`` and its
+        row in the bank model's ``activate``; vector commits reach none
+        of these, so one O(n) check per chunk stands in for all three,
+        in the same order.  The previous chunk's last time carries over.
         """
+        if not len(trace):
+            return trace
         banks = len(self.engines)
         rows = self.device.geometry.rows_per_bank
+        times = trace.time_ns
+        previous = np.empty_like(times)
+        previous[0] = self._time_floor_ns
+        previous[1:] = times[:-1]
+        # ``<=`` is False for NaN, so one comparison catches NaN too.
+        bad_time = ~(previous <= times) | np.isinf(times)
         bad_bank = (trace.bank < 0) | (trace.bank >= banks)
-        bad = bad_bank | (trace.row < 0) | (trace.row >= rows)
+        bad = bad_time | bad_bank | (trace.row < 0) | (trace.row >= rows)
         if bad.any():
             first = int(np.argmax(bad))
+            if bad_time[first]:
+                raise event_time_error(
+                    float(times[first]), float(previous[first])
+                )
             if bad_bank[first]:
                 bank = int(trace.bank[first])
                 raise IndexError(f"bank {bank} out of range [0, {banks})")
             row = int(trace.row[first])
             raise IndexError(f"row {row} out of range [0, {rows})")
+        self._time_floor_ns = float(times[-1])
         return trace
 
     # ------------------------------------------------------------------
@@ -820,7 +852,6 @@ class FastMemoryController:
                     banks[index:limit],
                     seg_start + index,
                     delays,
-                    flips_out,
                 )
                 if consumed:
                     if consumed == limit - index:
@@ -852,18 +883,23 @@ class FastMemoryController:
                         )
                     index += consumed
                     continue
-                span = max(4 * _MIN_VECTOR, span // 2)
-                vector_fails += 1
-                # The banked cap is far above the per-bank lane's: a
-                # banked attempt's setup (unique/argsort/grouping over
-                # the whole window) dwarfs a per-bank probe, so a
-                # stream that keeps rebuffing it -- e.g. Misra-Gries
-                # misses on nearly every row at toy thresholds --
-                # must converge to the plain scalar loop, probing only
-                # once every few hundred events.
-                scalar_budget = min(
-                    _BANKED_SCALAR_RUN, 1 << (vector_fails - 1)
-                )
+                if kernel_cut:
+                    # The first event would flip a bit: one scalar
+                    # replay builds the flip; no reason to back off.
+                    scalar_budget = 1
+                else:
+                    span = max(4 * _MIN_VECTOR, span // 2)
+                    vector_fails += 1
+                    # The banked cap is far above the per-bank lane's:
+                    # a banked attempt's setup (unique/argsort/grouping
+                    # over the whole window) dwarfs a per-bank probe,
+                    # so a stream that keeps rebuffing it -- e.g.
+                    # Misra-Gries misses on nearly every row at toy
+                    # thresholds -- must converge to the plain scalar
+                    # loop, probing only once every few hundred events.
+                    scalar_budget = min(
+                        _BANKED_SCALAR_RUN, 1 << (vector_fails - 1)
+                    )
             bank_index = int(banks[index])
             self._lane._scalar_step(
                 self.device.bank(bank_index),
@@ -884,7 +920,7 @@ class FastMemoryController:
         self._banked_span = span
 
     def _try_vector_banked(
-        self, times, rows, banks, gid_base, delays, flips_out
+        self, times, rows, banks, gid_base, delays
     ) -> tuple[int, bool, bool]:
         """Multi-bank vector attempt for the cross-bank lane.
 
@@ -1033,7 +1069,25 @@ class FastMemoryController:
             # branch above, skipping the in-loop early return.
             return 0, False, False
 
+        # Fault referee, per bank on its own subsequence: cut before the
+        # first ACT (in global order) that would flip a bit.
         timing_extent = extent
+        referees = []
+        for bank_index in uniq_banks:
+            faults = models[int(bank_index)].faults
+            if faults is None:
+                continue
+            positions = np.flatnonzero(banks[:extent] == bank_index)
+            if not len(positions):
+                continue
+            referee = faults.batch(rows[positions])
+            if referee.cut < len(positions):
+                cut = int(positions[referee.cut])
+                if cut == 0:
+                    return 0, False, True
+                extent = min(extent, cut)
+            referees.append((positions, referee))
+
         consumed = kernel.commit_run_banked(
             issue[:extent], rows[:extent], banks[:extent]
         )
@@ -1069,17 +1123,8 @@ class FastMemoryController:
         self.counters.acts_issued += extent
         self._lane.vector_acts += extent
 
-        if any(models[int(b)].faults is not None for b in uniq_banks):
-            for k in range(extent):
-                model = models[int(banks[k])]
-                if model.faults is None:
-                    continue
-                flips = model.faults.on_activate(
-                    int(rows[k]), float(issue[k])
-                )
-                if flips:
-                    flips_out.append((gid_base + k, flips))
-                    self.counters.bit_flips += len(flips)
+        for positions, referee in referees:
+            referee.commit(int(np.searchsorted(positions, extent)))
         return extent, False, kernel_cut
 
     def _merge_chunk(

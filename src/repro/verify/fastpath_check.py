@@ -14,17 +14,18 @@ scheme and compares everything observable:
 * the full executed-directive log (order, victim rows, reasons),
 * every recorded :class:`~repro.dram.faults.BitFlip`,
 * each bank's final tracking-table state (Misra-Gries table, TWiCe
-  entry table, CBT leaf partition, PARA generator state, refresh-rate
-  pointer, the unprotected baseline's ACT count -- see
-  :func:`repro.core.fast_kernels.reference_state`);
+  entry table, CBT leaf partition, PARA generator state, PRoHIT's
+  hot/cold tables and generator state, CRA's counter cache and backing
+  table, refresh-rate pointer, the unprotected baseline's ACT count --
+  see :func:`repro.core.fast_kernels.reference_state`);
 * for the ``/metrics`` stack, the registry snapshot against the
   reference run under its own ``metrics`` bus (``fastpath.*`` keys
   aside), and that neither bus retained a per-ACT event.
 
-PARA is probabilistic but the comparison is still exact: both stacks
-build their engines from the same seeded factory, and the kernel
-contract includes leaving the generator in the bit-identical state the
-scalar loop would.  Any mismatch is a ``divergence`` violation,
+PARA and PRoHIT are probabilistic but the comparison is still exact:
+both stacks build their engines from the same seeded factory, and the
+kernel contract includes leaving the generator in the bit-identical
+state the scalar loop would.  Any mismatch is a ``divergence`` violation,
 addressable enough for the shrinker to minimize.  The stream is
 repaced to DDR4 timings exactly like the ``mitigation:*`` subjects so
 the two layers see the same traffic.  When the fast path declines to
@@ -59,12 +60,14 @@ _PACE_INTERVAL_NS = 45.0
 #: differentially checked once per entry.  ABACuS declares the
 #: ``cross_bank`` capability, so both of its fast stacks run on the
 #: vectorized cross-bank lane -- ``commit_run_banked`` over interleaved
-#: multi-bank segments.  The unprotected ``none`` is the entry whose
-#: hammering streams actually flip bits, so it is what checks the vector
-#: path's fault-referee feed against the reference.
+#: multi-bank segments.  PARA and PRoHIT carry RNG state, so their
+#: generator positions are compared too.  The unprotected ``none`` is
+#: the entry whose hammering streams actually flip bits, so it is what
+#: checks the batched fault referee against the reference.  MRLoc and
+#: the oracle have no kernel and are not listed.
 KERNEL_SCHEMES = (
     "graphene", "para", "twice", "cbt", "refresh-rate", "comet", "abacus",
-    "none",
+    "none", "prohit", "cra",
 )
 
 

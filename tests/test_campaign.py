@@ -436,13 +436,13 @@ class TestReport:
     def test_report_lists_fast_path_fallbacks_per_cell(self, tmp_path):
         directory = tmp_path / "camp"
         spec = tiny_spec(
-            engine="fast", schemes=["graphene", "prohit"], workloads=["S3"]
+            engine="fast", schemes=["graphene", "mrloc"], workloads=["S3"]
         )
         CampaignDriver.start(spec, directory).run()
         html = write_report(directory).read_text(encoding="utf-8")
         assert "Fast-path fallbacks (1)" in html
-        (prohit,) = [c for c in spec.cells() if c.scheme == "prohit"]
-        assert f"<code>{prohit.cell_id}</code>" in html
+        (mrloc,) = [c for c in spec.cells() if c.scheme == "mrloc"]
+        assert f"<code>{mrloc.cell_id}</code>" in html
         assert "no batched kernel for scheme" in html
 
     def test_report_renders_from_recorded_artifacts_only(self, tmp_path):
