@@ -24,8 +24,6 @@ from typing import Iterable, Mapping, Sequence
 from ..dram.timing import DDR4_2400, DramTimings
 from ..sim.metrics import SimulationResult
 from ..sim.performance import performance_overhead
-from ..workloads.spec_like import REALISTIC_PROFILES, profile_events
-from ..workloads.synthetic import SYNTHETIC_PATTERNS, synthetic_events
 from .runner import ExperimentRunner, Job, get_runner, sim_job
 
 __all__ = [
@@ -35,8 +33,6 @@ __all__ = [
     "matrix_jobs",
     "assemble_matrix",
     "run_workload_matrix",
-    "realistic_trace",
-    "synthetic_trace",
 ]
 
 #: Scheme labels of the Fig. 8/9 comparison set (factory spec
@@ -63,35 +59,6 @@ def format_table(
 def percent(value: float, digits: int = 3) -> str:
     """Format a fraction as a percentage string."""
     return f"{100.0 * value:.{digits}f}%"
-
-
-def realistic_trace(
-    workload: str,
-    duration_ns: float,
-    seed: int = 42,
-    timings: DramTimings = DDR4_2400,
-    rows_per_bank: int = 65536,
-):
-    """ACT stream for one named realistic workload profile."""
-    return profile_events(
-        REALISTIC_PROFILES[workload],
-        duration_ns,
-        rows_per_bank=rows_per_bank,
-        seed=seed,
-        timings=timings,
-    )
-
-
-def synthetic_trace(
-    pattern: str,
-    duration_ns: float,
-    seed: int = 42,
-    timings: DramTimings = DDR4_2400,
-    rows_per_bank: int = 65536,
-):
-    """ACT stream for one named S1-S4 adversarial pattern."""
-    rows = SYNTHETIC_PATTERNS[pattern](rows_per_bank, seed)
-    return synthetic_events(rows, duration_ns=duration_ns, timings=timings)
 
 
 def matrix_jobs(

@@ -354,6 +354,13 @@ class ExperimentRunner:
         *submission order* -- so a ``--jobs 4`` trace is byte-identical
         to a serial one.
         """
+        _trace_memo.clear()
+        try:
+            return self._run_batch(batch)
+        finally:
+            _trace_memo.clear()
+
+    def _run_batch(self, batch: Sequence[Job]) -> list[Any]:
         started = time.perf_counter()
         total = len(batch)
         results: list[Any] = [None] * total
@@ -616,6 +623,14 @@ def using_runner(runner: ExperimentRunner) -> Iterator[ExperimentRunner]:
 # ----------------------------------------------------------------------
 
 
+#: The last trace :func:`_build_trace` generated, as ``(key, trace)``:
+#: one slot, because :func:`~repro.experiments.common.matrix_jobs` lists
+#: every scheme of a workload back to back.  Emptied at the start and
+#: end of every :meth:`ExperimentRunner.run` batch; parallel workers
+#: are started per batch, so no trace outlives its batch.
+_trace_memo: list[tuple[tuple, Any]] = []
+
+
 def _build_trace(
     trace: Mapping[str, Any],
     workload: str,
@@ -624,32 +639,45 @@ def _build_trace(
     timings: DramTimings,
     rows_per_bank: int,
 ):
-    """Materialize the ACT stream a trace spec describes."""
-    kind = trace["kind"]
+    """The read-only :class:`~repro.workloads.columnar.TraceArray` a
+    trace spec describes, memoized for the next cell of the same row."""
     label = trace.get("label", workload)
+    key = (
+        tuple(sorted(trace.items())), label, duration_ns, seed, timings,
+        rows_per_bank,
+    )
+    if _trace_memo and _trace_memo[0][0] == key:
+        return _trace_memo[0][1]
+    kind = trace["kind"]
     if kind == "realistic":
-        from ..workloads.spec_like import REALISTIC_PROFILES, profile_events
+        from ..workloads.spec_like import REALISTIC_PROFILES, profile_array
 
-        return profile_events(
+        built = profile_array(
             REALISTIC_PROFILES[label],
             duration_ns,
             rows_per_bank=rows_per_bank,
             seed=seed,
             timings=timings,
         )
-    if kind == "synthetic":
-        from ..workloads.synthetic import SYNTHETIC_PATTERNS, synthetic_events
+    elif kind in ("synthetic", "s3_target"):
+        from ..workloads.synthetic import (
+            SYNTHETIC_PATTERNS,
+            s3_rows,
+            synthetic_array,
+        )
 
-        rows = SYNTHETIC_PATTERNS[label](rows_per_bank, seed)
-        return synthetic_events(rows, duration_ns=duration_ns,
+        if kind == "synthetic":
+            rows = SYNTHETIC_PATTERNS[label](rows_per_bank, seed)
+        else:
+            rows = s3_rows(target=trace["target"])
+        built = synthetic_array(rows, duration_ns=duration_ns,
                                 timings=timings)
-    if kind == "s3_target":
-        from ..workloads.synthetic import s3_rows, synthetic_events
-
-        rows = s3_rows(target=trace["target"])
-        return synthetic_events(rows, duration_ns=duration_ns,
-                                timings=timings)
-    raise ValueError(f"unknown trace kind {kind!r}")
+    else:
+        raise ValueError(f"unknown trace kind {kind!r}")
+    for column in (built.time_ns, built.bank, built.row):
+        column.flags.writeable = False
+    _trace_memo[:] = [(key, built)]
+    return built
 
 
 def build_factory(

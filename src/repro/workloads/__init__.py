@@ -3,8 +3,8 @@
 * :mod:`~repro.workloads.trace` -- the :class:`ActEvent` stream model,
   pacing, merging, serialization and statistics;
 * :mod:`~repro.workloads.columnar` -- the array-backed
-  :class:`TraceArray` twin of the stream model (bit-identical
-  vectorized pacing/merging/statistics for the fast path);
+  :class:`TraceArray` form every generator emits, with vectorized
+  pacing, merging and statistics (event streams are views over it);
 * :mod:`~repro.workloads.spec_like` -- calibrated synthetic stand-ins
   for the paper's SPEC CPU2006 / multithreaded workloads;
 * :mod:`~repro.workloads.synthetic` -- the S1-S4 attack patterns and
@@ -32,6 +32,7 @@ from .spec_like import (
     REALISTIC_PROFILES,
     SPEC_HIGH_PROFILES,
     WorkloadProfile,
+    profile_array,
     profile_events,
 )
 from .synthetic import (
@@ -41,6 +42,7 @@ from .synthetic import (
     s2_rows,
     s3_rows,
     s4_rows,
+    synthetic_array,
     synthetic_events,
 )
 from .columnar import (
@@ -86,6 +88,7 @@ __all__ = [
     "SPEC_HIGH_PROFILES",
     "MIX_PROFILES",
     "MULTITHREADED_PROFILES",
+    "profile_array",
     "profile_events",
     "SYNTHETIC_PATTERNS",
     "s1_rows",
@@ -93,6 +96,7 @@ __all__ = [
     "s3_rows",
     "s4_rows",
     "graphene_worst_case_rows",
+    "synthetic_array",
     "synthetic_events",
     "prohit_killer_rows",
     "mrloc_killer_rows",

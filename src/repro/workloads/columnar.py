@@ -1,33 +1,40 @@
-"""Columnar ACT traces: the array-backed twin of :mod:`.trace`.
+"""Columnar ACT traces: the form every workload generator emits.
 
-The iterator world (:class:`~repro.workloads.trace.ActEvent` streams)
-is the package's lingua franca, but a Python object per ACT is exactly
-what makes full-tREFW runs minutes-long.  This module keeps the same
-*semantics* in a columnar layout -- one :class:`TraceArray` holds three
-parallel numpy arrays (``time_ns``/``bank``/``row``) -- and provides
-vectorized versions of the :mod:`.trace` helpers:
+A Python object per ACT is what makes full-tREFW runs minutes-long, so
+traces are built and simulated as one :class:`TraceArray` -- three
+parallel numpy arrays (``time_ns``/``bank``/``row``) -- and the
+:class:`~repro.workloads.trace.ActEvent` streams of :mod:`.trace` are
+lazy views over it for the reference engine and streaming consumers:
 
 * :meth:`TraceArray.from_events` / :meth:`TraceArray.__iter__` convert
   to and from the iterator world losslessly;
-* :func:`pace_array` is :func:`~repro.workloads.trace.pace`;
+* :func:`pace_segments` is the one pacing implementation: bounded
+  segments of at most ``floor(tREFI / interval) + 2`` ACTs between tRFC
+  blackouts, so pacing is linear in the trace length.
+  :func:`pace_array`, :func:`~repro.workloads.trace.pace` and the
+  synthetic generators (:mod:`.synthetic`) are built on it; the
+  realistic profiles (:mod:`.spec_like`) emit one array per chunk of
+  RNG draws;
 * :func:`merge_arrays` is :func:`~repro.workloads.trace.merge_streams`;
 * :func:`collect_stats_array` is
   :func:`~repro.workloads.trace.collect_stats`.
 
-**Equivalence is bit-exact, not approximate.**  The iterator helpers
-accumulate timestamps with sequential float64 additions (``time +=
-interval``), so the vectorized versions reproduce the *same sequence
-of floating-point operations*: running sums use ``np.cumsum`` seeded
-with the live accumulator value (numpy's accumulate is sequential
-left-to-right, unlike ``np.sum``'s pairwise reduction), and the tRFC
-blackout push of :func:`pace` is applied with the identical scalar
-expression at each affected element.  The tests in
-``tests/test_columnar.py`` pin this down element-for-element.
+**Timestamps are bit-exact, not approximate.**  Generators define
+their timestamps as sequential float64 additions (``time +=
+interval``), so running sums use ``np.cumsum`` seeded with the live
+accumulator value (numpy's accumulate is sequential left-to-right,
+unlike ``np.sum``'s pairwise reduction), and the tRFC blackout push
+is applied with the scalar expression ``time += trfc - time % trefi``
+at each affected element.  ``tests/test_workloads.py`` checks every
+generator against the per-event loops it replaced, and
+``tests/test_columnar.py`` pins the helpers element for element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,10 +45,19 @@ from .trace import ActEvent, TraceStats
 __all__ = [
     "TraceArray",
     "iter_chunk_arrays",
+    "pace_segments",
     "pace_array",
     "merge_arrays",
     "collect_stats_array",
 ]
+
+
+#: Events per ``tolist`` slice when a :class:`TraceArray` is iterated.
+_ITER_SLICE = 8192
+
+#: ``ActEvent`` from a ``(time, bank, row)`` tuple without a Python-level
+#: ``__new__`` call per event.
+_new_event = partial(tuple.__new__, ActEvent)
 
 
 @dataclass
@@ -91,6 +107,17 @@ class TraceArray:
         )
 
     @classmethod
+    def concat(cls, parts: Sequence["TraceArray"]) -> "TraceArray":
+        """Join consecutive traces end to end (no re-sorting)."""
+        if not parts:
+            return cls.empty()
+        return cls(
+            time_ns=np.concatenate([part.time_ns for part in parts]),
+            bank=np.concatenate([part.bank for part in parts]),
+            row=np.concatenate([part.row for part in parts]),
+        )
+
+    @classmethod
     def empty(cls) -> "TraceArray":
         return cls(
             time_ns=np.empty(0, dtype=np.float64),
@@ -102,9 +129,19 @@ class TraceArray:
         return len(self.time_ns)
 
     def __iter__(self) -> Iterator[ActEvent]:
-        """Yield native :class:`ActEvent` objects (lossless round-trip)."""
-        for t, b, r in zip(self.time_ns, self.bank, self.row):
-            yield ActEvent(float(t), int(b), int(r))
+        """Yield native :class:`ActEvent` objects (lossless round-trip).
+
+        Fields are plain ``float`` / ``int`` / ``int``.  Columns are
+        converted with ``tolist`` one bounded slice at a time, so a long
+        trace never holds more than one slice of Python objects.
+        """
+        for start in range(0, len(self), _ITER_SLICE):
+            stop = start + _ITER_SLICE
+            yield from map(_new_event, zip(
+                self.time_ns[start:stop].tolist(),
+                self.bank[start:stop].tolist(),
+                self.row[start:stop].tolist(),
+            ))
 
     def to_events(self) -> list[ActEvent]:
         """The whole trace as a list of :class:`ActEvent`."""
@@ -234,6 +271,107 @@ def _sequential_cumsum(base: float, increments: np.ndarray) -> np.ndarray:
     return np.cumsum(seeded)[1:]
 
 
+def _check_interval(interval_ns: float, timings: DramTimings) -> None:
+    if interval_ns < timings.trc:
+        raise ValueError(
+            f"interval {interval_ns}ns violates tRC={timings.trc}ns"
+        )
+
+
+def _paced_times(
+    interval_ns: float,
+    start_ns: float,
+    timings: DramTimings,
+    honor_refresh_gaps: bool,
+    duration_ns: float | None,
+) -> Iterator[np.ndarray]:
+    """Timestamps of an ACT every ``interval_ns``, in bounded segments.
+
+    A segment opens on an ACT that, if it would land inside the tRFC
+    blackout after a tREFI boundary, is pushed past it with the scalar
+    expression ``time += trfc - time % trefi``.  It then runs by
+    sequential ``+interval`` additions (a seeded ``cumsum``) up to, not
+    including, the next ACT that lands in a blackout -- and never past
+    ``floor(tREFI / interval) + 2`` ACTs, so each segment costs
+    O(tREFI / interval) however long the stream is.  With
+    ``duration_ns`` the stream ends before the first ACT with
+    ``time - start_ns >= duration_ns``; without it, it never ends.
+    """
+    trefi = timings.trefi
+    trfc = timings.trfc
+    span = int(trefi // interval_ns) + 2
+    seeded = np.full(span + 1, interval_ns, dtype=np.float64)
+    anchor = start_ns
+    while True:
+        if honor_refresh_gaps:
+            since_boundary = anchor % trefi
+            if since_boundary < trfc:
+                anchor += trfc - since_boundary
+        seeded[0] = anchor
+        chain = np.cumsum(seeded)
+        count = span
+        if honor_refresh_gaps:
+            blocked = np.mod(chain[1:], trefi) < trfc
+            first = int(blocked.argmax())
+            if blocked[first]:
+                count = first + 1
+        times = chain[:count]
+        if duration_ns is not None and times[-1] - start_ns >= duration_ns:
+            cut = int(np.searchsorted(times - start_ns, duration_ns))
+            if cut:
+                yield times[:cut]
+            return
+        yield times
+        anchor = float(chain[count])
+
+
+def pace_segments(
+    rows: Iterable[int],
+    interval_ns: float,
+    bank: int = 0,
+    start_ns: float = 0.0,
+    timings: DramTimings = DDR4_2400,
+    honor_refresh_gaps: bool = True,
+    duration_ns: float | None = None,
+) -> Iterator[TraceArray]:
+    """Pace a row sequence into consecutive :class:`TraceArray` segments.
+
+    The one pacing implementation behind :func:`pace_array`,
+    :func:`~repro.workloads.trace.pace` and the synthetic generators;
+    see :func:`~repro.workloads.trace.pace` for the arguments.  Each
+    segment's timestamps are computed before any row is pulled, then
+    exactly that many rows are taken from ``rows`` (fewer ends the
+    stream).  With ``duration_ns`` the stream ends before the first ACT
+    at ``time - start_ns >= duration_ns``, and no row is pulled for it:
+    a shared row iterator is left positioned after the last emitted
+    row.  Raises ``ValueError`` at once for an interval below tRC.
+    """
+    _check_interval(interval_ns, timings)
+    return _bind_rows(
+        iter(rows),
+        _paced_times(
+            interval_ns, start_ns, timings, honor_refresh_gaps, duration_ns
+        ),
+        bank,
+    )
+
+
+def _bind_rows(
+    rows: Iterator[int], segments: Iterator[np.ndarray], bank: int
+) -> Iterator[TraceArray]:
+    for times in segments:
+        taken = np.fromiter(islice(rows, len(times)), dtype=np.int64)
+        count = len(taken)
+        if count:
+            yield TraceArray(
+                time_ns=times[:count],
+                bank=np.full(count, bank, dtype=np.int64),
+                row=taken,
+            )
+        if count < len(times):
+            return
+
+
 def pace_array(
     rows: Sequence[int] | np.ndarray,
     interval_ns: float,
@@ -242,57 +380,29 @@ def pace_array(
     timings: DramTimings = DDR4_2400,
     honor_refresh_gaps: bool = True,
 ) -> TraceArray:
-    """Vectorized :func:`~repro.workloads.trace.pace` (bit-identical).
+    """:func:`~repro.workloads.trace.pace` as one :class:`TraceArray`.
 
-    The iterator version advances a scalar accumulator and, when an ACT
-    would land inside the tRFC blackout after a tREFI boundary, pushes
-    it past the blackout (``time += trfc - time % trefi``).  Here the
-    accumulator runs as a seeded ``cumsum`` segment; the first element
-    flagged inside a blackout is pushed with the identical scalar
-    expression and becomes the seed of the next segment, so every
-    emitted timestamp matches the iterator's float64 value exactly.
+    Runs the same segments as the iterator (a seeded ``cumsum`` per
+    blackout-free stretch, the scalar push at each blackout), so every
+    timestamp matches the scalar loop's float64 value exactly, in time
+    linear in the trace length.
     """
-    if interval_ns < timings.trc:
-        raise ValueError(
-            f"interval {interval_ns}ns violates tRC={timings.trc}ns"
-        )
+    _check_interval(interval_ns, timings)
     row_array = np.asarray(rows, dtype=np.int64)
     n = len(row_array)
     if n == 0:
         return TraceArray.empty()
-    times = np.empty(n, dtype=np.float64)
-    trefi = timings.trefi
-    trfc = timings.trfc
-    anchor = start_ns
-    emitted = 0
-    while emitted < n:
-        remaining = n - emitted
-        # Candidate timestamps if no blackout intervened: the anchor,
-        # then one sequential +interval per ACT.
-        candidates = _sequential_cumsum(
-            anchor, np.full(remaining - 1, interval_ns, dtype=np.float64)
-        )
-        candidates = np.concatenate(([anchor], candidates))
-        if honor_refresh_gaps:
-            blocked = np.mod(candidates, trefi) < trfc
-            first = int(np.argmax(blocked)) if blocked.any() else remaining
-        else:
-            first = remaining
-        # Everything before the first blackout hit is final.
-        times[emitted:emitted + first] = candidates[:first]
-        emitted += first
-        if emitted >= n:
+    parts = []
+    paced = 0
+    for times in _paced_times(
+        interval_ns, start_ns, timings, honor_refresh_gaps, None
+    ):
+        parts.append(times)
+        paced += len(times)
+        if paced >= n:
             break
-        # Push the blocked ACT past the blackout with the iterator's
-        # exact scalar arithmetic, then restart the accumulator there.
-        time_ns = float(candidates[first])
-        since_boundary = time_ns % trefi
-        time_ns += trfc - since_boundary
-        times[emitted] = time_ns
-        emitted += 1
-        anchor = time_ns + interval_ns
     return TraceArray(
-        time_ns=times,
+        time_ns=np.concatenate(parts)[:n],
         bank=np.full(n, bank, dtype=np.int64),
         row=row_array,
     )
@@ -305,15 +415,12 @@ def merge_arrays(*traces: TraceArray) -> TraceArray:
     stream wins.  Concatenating in argument order and stable-sorting by
     time reproduces that order exactly.
     """
-    parts = [t for t in traces if len(t)]
-    if not parts:
-        return TraceArray.empty()
-    time_ns = np.concatenate([t.time_ns for t in parts])
-    bank = np.concatenate([t.bank for t in parts])
-    row = np.concatenate([t.row for t in parts])
-    order = np.argsort(time_ns, kind="stable")
+    joined = TraceArray.concat(traces)
+    order = np.argsort(joined.time_ns, kind="stable")
     return TraceArray(
-        time_ns=time_ns[order], bank=bank[order], row=row[order]
+        time_ns=joined.time_ns[order],
+        bank=joined.bank[order],
+        row=joined.row[order],
     )
 
 

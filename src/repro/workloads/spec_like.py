@@ -32,8 +32,7 @@ workload structure, not a knife-edge calibration.
 
 from __future__ import annotations
 
-import math
-import random
+import itertools
 import zlib
 from dataclasses import dataclass
 from typing import Iterator
@@ -41,6 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from ..dram.timing import DDR4_2400, DramTimings
+from .columnar import TraceArray, _sequential_cumsum, merge_arrays
 from .trace import ActEvent, merge_streams
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "MIX_PROFILES",
     "MULTITHREADED_PROFILES",
     "REALISTIC_PROFILES",
+    "profile_array",
     "profile_events",
 ]
 
@@ -263,7 +264,7 @@ def _clustered_pool(
     return pool
 
 
-def _bank_stream(
+def _bank_chunks(
     profile: WorkloadProfile,
     bank: int,
     rows_per_bank: int,
@@ -271,31 +272,101 @@ def _bank_stream(
     rng: np.random.Generator,
     timings: DramTimings,
     chunk: int = 8192,
-) -> Iterator[ActEvent]:
-    """Generate one bank's timed ACT stream for ``profile``."""
+) -> Iterator[TraceArray]:
+    """One bank's timed ACT stream for ``profile``, one array per chunk.
+
+    Each chunk draws, in this order (which fixes the stream for a
+    seed), ``chunk`` exponential inter-arrival gaps (Poisson ACT
+    arrivals, floored at tRC), ``chunk`` Zipf hot rows and ``chunk``
+    streaming flags.  Times accumulate the gaps by sequential float64
+    addition (a seeded ``cumsum``); a streaming ACT opens the row after
+    the previous streaming ACT's, wrapping at ``rows_per_bank``.  The
+    stream ends before the first ACT at or past ``duration_ns``.
+    """
     pool = _clustered_pool(profile, rows_per_bank, rng)
     sampler = _ZipfSampler(pool, profile.zipf_exponent, rng)
     mean_interval = profile.mean_interval_ns()
     stream_row = int(rng.integers(rows_per_bank))
     time_ns = float(rng.random() * mean_interval)
     while time_ns < duration_ns:
-        # Draw a chunk of exponential inter-arrival gaps (Poisson ACT
-        # arrivals), floored at tRC, and a matching chunk of rows.
         gaps = np.maximum(
             rng.exponential(mean_interval, size=chunk), timings.trc
         )
         hot_rows = sampler.draw(chunk)
         is_stream = rng.random(chunk) < profile.streaming_fraction
-        for i in range(chunk):
-            if time_ns >= duration_ns:
-                return
-            if is_stream[i]:
-                stream_row = (stream_row + 1) % rows_per_bank
-                row = stream_row
-            else:
-                row = int(hot_rows[i])
-            yield ActEvent(time_ns, bank, row)
-            time_ns += float(gaps[i])
+        # after[i] is the time of ACT i + 1.
+        after = _sequential_cumsum(time_ns, gaps)
+        times = np.concatenate(([time_ns], after[:-1]))
+        streamed = np.cumsum(is_stream)
+        rows = np.where(
+            is_stream, (stream_row + streamed) % rows_per_bank, hot_rows
+        )
+        count = int(np.searchsorted(times, duration_ns))
+        yield TraceArray(
+            time_ns=times[:count],
+            bank=np.full(count, bank, dtype=np.int64),
+            row=rows[:count],
+        )
+        stream_row = (stream_row + int(streamed[-1])) % rows_per_bank
+        time_ns = float(after[-1])
+
+
+def _bank_streams(
+    profile: WorkloadProfile,
+    duration_ns: float,
+    banks: int,
+    rows_per_bank: int,
+    seed: int,
+    timings: DramTimings,
+) -> list[Iterator[TraceArray]]:
+    """Every bank's chunk stream, each from its own seeded RNG."""
+    if duration_ns <= 0:
+        raise ValueError("duration_ns must be positive")
+    if banks < 1:
+        raise ValueError("banks must be >= 1")
+    return [
+        _bank_chunks(
+            profile,
+            bank,
+            rows_per_bank,
+            duration_ns,
+            np.random.default_rng(
+                # zlib.crc32 is stable across processes (hash() is
+                # salted per interpreter and would break replayability).
+                (seed, bank, zlib.crc32(profile.name.encode()) & 0xFFFF)
+            ),
+            timings,
+        )
+        for bank in range(banks)
+    ]
+
+
+def profile_array(
+    profile: WorkloadProfile,
+    duration_ns: float,
+    banks: int = 1,
+    rows_per_bank: int = 65536,
+    seed: int = 0,
+    timings: DramTimings = DDR4_2400,
+) -> TraceArray:
+    """Timed, time-sorted ACT trace for ``profile`` over ``banks`` banks.
+
+    Args:
+        profile: The workload model.
+        duration_ns: Trace length.
+        banks: Banks to generate (independent streams, merged by time;
+            on equal times the lower bank comes first).
+        rows_per_bank: Row address space per bank.
+        seed: Base RNG seed; each bank derives an independent stream.
+        timings: Timing bundle (tRC floor on inter-arrival gaps).
+    """
+    per_bank = [
+        TraceArray.concat(list(chunks))
+        for chunks in _bank_streams(
+            profile, duration_ns, banks, rows_per_bank, seed, timings
+        )
+    ]
+    return per_bank[0] if banks == 1 else merge_arrays(*per_bank)
 
 
 def profile_events(
@@ -306,34 +377,17 @@ def profile_events(
     seed: int = 0,
     timings: DramTimings = DDR4_2400,
 ) -> Iterator[ActEvent]:
-    """Timed, time-sorted ACT stream for ``profile`` over ``banks`` banks.
+    """:func:`profile_array` as a lazy :class:`ActEvent` stream.
 
-    Args:
-        profile: The workload model.
-        duration_ns: Trace length.
-        banks: Banks to generate (independent streams, merged by time).
-        rows_per_bank: Row address space per bank.
-        seed: Base RNG seed; each bank derives an independent stream.
-        timings: Timing bundle (tRC floor on inter-arrival gaps).
+    Each bank is generated one 8,192-draw chunk at a time as the
+    consumer reaches it, so memory stays bounded however long the
+    trace is.
     """
-    if duration_ns <= 0:
-        raise ValueError("duration_ns must be positive")
-    if banks < 1:
-        raise ValueError("banks must be >= 1")
     streams = [
-        _bank_stream(
-            profile,
-            bank,
-            rows_per_bank,
-            duration_ns,
-                np.random.default_rng(
-                # zlib.crc32 is stable across processes (hash() is
-                # salted per interpreter and would break replayability).
-                (seed, bank, zlib.crc32(profile.name.encode()) & 0xFFFF)
-            ),
-            timings,
+        itertools.chain.from_iterable(chunks)
+        for chunks in _bank_streams(
+            profile, duration_ns, banks, rows_per_bank, seed, timings
         )
-        for bank in range(banks)
     ]
     if len(streams) == 1:
         return streams[0]

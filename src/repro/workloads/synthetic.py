@@ -14,20 +14,21 @@ Plus the *worst-case* pattern for Graphene used by Fig. 6 and the
 every table entry climbs to the threshold ``T`` as many times as the
 window allows, maximizing victim-refresh triggers.
 
-All generators emit plain row sequences; use
-:func:`repro.workloads.trace.pace` (or the convenience wrappers here)
-to timestamp them at the maximum ACT rate.
+All generators emit plain row sequences; :func:`synthetic_array` (or
+its event view :func:`synthetic_events`) timestamps them at the maximum
+ACT rate.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..core.config import GrapheneConfig
 from ..dram.timing import DDR4_2400, DramTimings
-from .trace import ActEvent, pace
+from .columnar import TraceArray, pace_segments
+from .trace import ActEvent
 
 __all__ = [
     "s1_rows",
@@ -35,6 +36,7 @@ __all__ = [
     "s3_rows",
     "s4_rows",
     "graphene_worst_case_rows",
+    "synthetic_array",
     "synthetic_events",
     "SYNTHETIC_PATTERNS",
 ]
@@ -70,18 +72,11 @@ def s2_rows(
         raise ValueError("random_every must be >= 2")
     rng = random.Random(seed)
     targets = _spread_rows(n, rows_per_bank, rng)
+    # Each group is random_every - 1 cycled targets, then one random row.
     cycler = itertools.cycle(targets)
-
-    def generate() -> Iterator[int]:
-        position = 0
-        while True:
-            position += 1
-            if position % random_every == 0:
-                yield rng.randrange(rows_per_bank)
-            else:
-                yield next(cycler)
-
-    return generate()
+    randoms = iter(lambda: rng.randrange(rows_per_bank), None)
+    groups = zip(*[cycler] * (random_every - 1), randoms)
+    return itertools.chain.from_iterable(groups)
 
 
 def s3_rows(
@@ -106,14 +101,12 @@ def s4_rows(
     if target is None:
         target = rng.randrange(2, rows_per_bank - 2)
 
-    def generate() -> Iterator[int]:
-        while True:
-            if rng.random() < random_fraction:
-                yield rng.randrange(rows_per_bank)
-            else:
-                yield target
+    def draw() -> int:
+        if rng.random() < random_fraction:
+            return rng.randrange(rows_per_bank)
+        return target
 
-    return generate()
+    return iter(draw, None)
 
 
 def graphene_worst_case_rows(
@@ -137,31 +130,63 @@ def graphene_worst_case_rows(
     return itertools.cycle(targets)
 
 
-def synthetic_events(
-    rows: Iterator[int],
+def _synthetic_segments(
+    rows: Iterable[int],
     duration_ns: float,
-    bank: int = 0,
-    timings: DramTimings = DDR4_2400,
-    start_ns: float = 0.0,
-) -> Iterator[ActEvent]:
-    """Timestamp a row sequence at the maximum legal ACT rate.
-
-    The attacker issues back-to-back ACTs (interval tRC) and loses the
-    tRFC blackout after every tREFI like any real agent, so a full
-    refresh window carries exactly ~``W`` ACTs.
-    """
-    events = pace(
+    bank: int,
+    timings: DramTimings,
+    start_ns: float,
+) -> Iterator[TraceArray]:
+    return pace_segments(
         rows,
         interval_ns=timings.trc,
         bank=bank,
         start_ns=start_ns,
         timings=timings,
         honor_refresh_gaps=True,
+        duration_ns=duration_ns,
     )
-    for event in events:
-        if event.time_ns - start_ns >= duration_ns:
-            return
-        yield event
+
+
+def synthetic_array(
+    rows: Iterable[int],
+    duration_ns: float,
+    bank: int = 0,
+    timings: DramTimings = DDR4_2400,
+    start_ns: float = 0.0,
+) -> TraceArray:
+    """Timestamp a row sequence at the maximum legal ACT rate.
+
+    The attacker issues back-to-back ACTs (interval tRC) and loses the
+    tRFC blackout after every tREFI like any real agent, so a full
+    refresh window carries exactly ~``W`` ACTs.  The trace ends before
+    the first ACT at ``time - start_ns >= duration_ns``.
+
+    Exactly as many rows are pulled from ``rows`` as ACTs are emitted.
+    (The per-event loop this replaced pulled one more row past the end
+    and dropped it; a row iterator shared with another consumer is now
+    advanced by one row less.)
+    """
+    return TraceArray.concat(
+        list(_synthetic_segments(rows, duration_ns, bank, timings, start_ns))
+    )
+
+
+def synthetic_events(
+    rows: Iterable[int],
+    duration_ns: float,
+    bank: int = 0,
+    timings: DramTimings = DDR4_2400,
+    start_ns: float = 0.0,
+) -> Iterator[ActEvent]:
+    """:func:`synthetic_array` as a lazy :class:`ActEvent` stream.
+
+    Rows are pulled one paced segment (about one tREFI of ACTs) ahead
+    of the consumer, never past the end of the trace.
+    """
+    return itertools.chain.from_iterable(
+        _synthetic_segments(rows, duration_ns, bank, timings, start_ns)
+    )
 
 
 #: Named constructors for the Fig. 8(b) x-axis, each returning a row

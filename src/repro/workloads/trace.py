@@ -17,6 +17,7 @@ substitution is calibrated on (per-bank intensity, per-row maxima).
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -52,32 +53,33 @@ def pace(
 ) -> Iterator[ActEvent]:
     """Attach timestamps to a row sequence at a fixed ACT interval.
 
+    A lazy event view over
+    :func:`~repro.workloads.columnar.pace_segments`: rows are pulled one
+    bounded segment (at most about one tREFI of ACTs) ahead of the
+    consumer.
+
     Args:
         rows: The row addresses, in order.
-        interval_ns: Time between consecutive ACTs; must be >= tRC.
+        interval_ns: Time between consecutive ACTs; must be >= tRC
+            (``ValueError`` at the call otherwise).
         bank: Bank the stream targets.
         start_ns: Timestamp of the first ACT.
         timings: Timing bundle (validates the interval; provides the
             refresh schedule when ``honor_refresh_gaps`` is set).
-        honor_refresh_gaps: When True, the stream skips over the tRFC
-            blackout after each tREFI boundary, as real command streams
+        honor_refresh_gaps: When True, an ACT that would land inside
+            the tRFC blackout after a tREFI boundary is pushed past it
+            (``time += trfc - time % trefi``), as real command streams
             must -- this is what limits a maximal attacker to ``W``
-            ACTs per window rather than ``tREFW / tRC``.
+            ACTs per window rather than ``tREFW / tRC``.  Timestamps
+            otherwise accumulate by sequential ``time += interval``.
     """
-    if interval_ns < timings.trc:
-        raise ValueError(
-            f"interval {interval_ns}ns violates tRC={timings.trc}ns"
+    from .columnar import pace_segments  # columnar imports this module
+
+    return itertools.chain.from_iterable(
+        pace_segments(
+            rows, interval_ns, bank, start_ns, timings, honor_refresh_gaps
         )
-    time_ns = start_ns
-    for row in rows:
-        if honor_refresh_gaps:
-            # If this ACT would land inside the refresh blackout that
-            # follows a tREFI boundary, push it past the blackout.
-            since_boundary = time_ns % timings.trefi
-            if since_boundary < timings.trfc:
-                time_ns += timings.trfc - since_boundary
-        yield ActEvent(time_ns, bank, row)
-        time_ns += interval_ns
+    )
 
 
 def merge_streams(*streams: Iterable[ActEvent]) -> Iterator[ActEvent]:

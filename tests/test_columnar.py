@@ -156,6 +156,33 @@ class TestPaceArrayEquivalence:
         with pytest.raises(ValueError):
             pace_array([1, 2], interval_ns=10.0)
 
+    @pytest.mark.parametrize(
+        "interval_ns, start_ns, gaps",
+        [
+            pytest.param(DDR4_2400.trc, 0.0, True, id="trc"),
+            pytest.param(
+                DDR4_2400.trc, 5 * DDR4_2400.trefi + 100.0, True,
+                id="start-inside-blackout",
+            ),
+            pytest.param(DDR4_2400.trc, 0.0, False, id="gaps-disabled"),
+            pytest.param(97.5, 33.25, True, id="interval-97.5"),
+        ],
+    )
+    def test_bit_identical_across_many_blackouts(
+        self, interval_ns, start_ns, gaps
+    ):
+        rows = np.arange(130 * int(DDR4_2400.trefi // interval_ns)) % 977
+        columnar = pace_array(
+            rows, interval_ns, start_ns=start_ns, honor_refresh_gaps=gaps
+        )
+        reference = list(pace(
+            rows.tolist(), interval_ns, start_ns=start_ns,
+            honor_refresh_gaps=gaps,
+        ))
+        span = columnar.time_ns[-1] - columnar.time_ns[0]
+        assert span > 100 * DDR4_2400.trefi
+        assert columnar.to_events() == reference
+
 
 class TestSerializationRoundTrip:
     @pytest.mark.parametrize("events", ROUNDTRIP_CASES)
@@ -191,6 +218,17 @@ class TestTraceArray:
                 time_ns=np.zeros(2), bank=np.zeros(1, dtype=np.int64),
                 row=np.zeros(2, dtype=np.int64),
             )
+
+    def test_iteration_yields_python_scalars(self):
+        trace = pace_array(list(range(20_000)), 45.0, bank=3)
+        events = list(trace)
+        assert len(events) == len(trace)
+        for event in (events[0], events[8192], events[-1]):
+            assert type(event) is ActEvent
+            assert [type(field) for field in event] == [float, int, int]
+        assert events[-1] == ActEvent(
+            float(trace.time_ns[-1]), 3, 19_999
+        )
 
     def test_dtype_coercion(self):
         trace = TraceArray(time_ns=[0, 1], bank=[0, 0], row=[5, 6])

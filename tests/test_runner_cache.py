@@ -20,13 +20,15 @@ import pytest
 from repro.cli import main
 from repro.dram.timing import DDR4_2400
 from repro.experiments import fig8, load
-from repro.experiments.common import run_workload_matrix
+from repro.experiments import runner as runner_module
+from repro.experiments.common import matrix_jobs, run_workload_matrix
 from repro.experiments.runner import (
     ExperimentRunner,
     Job,
     get_runner,
     run_sim_spec,
     sim_job,
+    using_engine,
     using_runner,
 )
 from repro.sim.cache import MISS, ResultCache, cache_key, canonical
@@ -337,3 +339,62 @@ class TestCliFlags:
         main(["experiment", "table4", "--cache-dir", str(tmp_path),
               "--quiet"])
         assert get_runner() is before
+
+
+class TestTraceMemo:
+    """The cells of one matrix row share one generated trace."""
+
+    WORKLOADS = {"omnetpp": "realistic", "S3": "synthetic"}
+
+    @staticmethod
+    def _count_generators(monkeypatch) -> list[str]:
+        from repro.workloads import spec_like, synthetic
+
+        calls: list[str] = []
+        for module, name in ((spec_like, "profile_array"),
+                             (synthetic, "synthetic_array")):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def _batch(self):
+        return matrix_jobs(self.WORKLOADS, ("para", "graphene"),
+                           duration_ns=2e5)
+
+    def test_a_row_builds_its_trace_once(self, monkeypatch):
+        calls = self._count_generators(monkeypatch)
+        ExperimentRunner().run(self._batch())
+        assert calls == ["profile_array", "synthetic_array"]
+
+    def test_every_batch_starts_and_ends_empty(self, monkeypatch):
+        calls = self._count_generators(monkeypatch)
+        runner = ExperimentRunner()
+        runner.run(self._batch())
+        assert runner_module._trace_memo == []
+        runner.run(self._batch())
+        assert len(calls) == 4
+
+    def test_memoized_columns_are_read_only(self):
+        spec = ({"kind": "synthetic", "label": "S3"}, "S3", 1e5, 42,
+                DDR4_2400, 65536)
+        try:
+            trace = runner_module._build_trace(*spec)
+            assert runner_module._build_trace(*spec) is trace
+            for column in (trace.time_ns, trace.bank, trace.row):
+                with pytest.raises(ValueError):
+                    column[0] = 1
+        finally:
+            runner_module._trace_memo.clear()
+
+    def test_two_workers_match_serial_on_the_fast_engine(self):
+        with using_engine("fast"):
+            serial = ExperimentRunner(jobs=1).run(self._batch())
+            parallel = ExperimentRunner(jobs=2).run(self._batch())
+        assert [r.to_dict() for r in parallel] == [
+            r.to_dict() for r in serial
+        ]
