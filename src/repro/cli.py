@@ -126,11 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--fast", action="store_true",
         help="route simulation cells through the columnar fast engine "
              "(repro.core.fastpath); per-scheme batched kernels for "
-             "graphene/para/twice/cbt/refresh-rate/comet/abacus/none, "
-             "byte-identical "
-             "results, cached under distinct keys; schemes without a "
-             "kernel (or telemetry-on runs) fall back to the reference "
-             "loop with a warning, and the fallback reason is surfaced "
+             "graphene/para/twice/cbt/refresh-rate/comet/abacus/none/"
+             "prohit/cra/mrloc, byte-identical results, cached under "
+             "distinct keys; only runs under an events-level telemetry "
+             "bus (--telemetry, --trace-out) fall back to the reference "
+             "loop, with a warning, and the fallback reason is surfaced "
              "in the job summary",
     )
     experiment.add_argument(

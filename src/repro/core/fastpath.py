@@ -43,7 +43,9 @@ contents, same bit flips.  This is possible because:
   :class:`~repro.dram.device.DramBankModel` objects;
 * an ACT's issue time is either its trace time (bank idle: ``issue ==
   t``) or chained off tRC (bank saturated: ``issue = prev_issue +
-  trc``); both recurrences vectorize exactly -- ``np.cumsum`` is a
+  trc``, the first one at ``max(next_act, busy_until)``, so a bank
+  still blocked by an NRR chains too); both recurrences vectorize
+  exactly -- ``np.cumsum`` is a
   sequential left-to-right accumulate, so seeding it with the live
   accumulator reproduces the scalar loop's partial sums bit-for-bit
   (never ``np.sum``, whose pairwise reduction rounds differently);
@@ -74,8 +76,8 @@ once per chunk: ``fastpath.chunks`` and, per kernel scheme,
 
 The fast path never runs under an ``events``-level bus (it cannot
 produce the per-ACT records that level retains) or when any bank's
-scheme has no registered kernel (MRLoc and the oracle; every other
-scheme of Fig. 8 and the capability matrix has one);
+scheme has no registered kernel (the oracle; every scheme of Fig. 8
+and the capability matrix has one);
 :func:`build_fast_controller` returns ``None`` (and
 :func:`build_fast_controller_ex` additionally names the reason) and
 callers fall back to the reference engine.
@@ -199,9 +201,11 @@ class FastKernel(Protocol):
         cannot reproduce -- that event then replays through the scalar
         path.  Directives, if any, must be anchored at the final
         committed event (the controller executes them after the batch,
-        matching the reference order); kernels that trigger mid-run
-        should instead truncate before the triggering event and let the
-        scalar replay emit it.  Kernels with draw-consuming state (PARA)
+        matching the reference order).  So a kernel that triggers
+        mid-run either truncates before the triggering event and lets
+        the scalar replay emit it, or stops right *after* it and returns
+        its directives (MRLoc, whose queue and generator cannot be
+        rewound cheaply).  Kernels with draw-consuming state (PARA)
         rewind past speculative bulk work themselves.
         """
         ...
@@ -257,6 +261,32 @@ def kernel_schemes() -> tuple[str, ...]:
             for engine_type in _KERNEL_REGISTRY
         )
     )
+
+
+def _issue_regime(bank_model, t0: float) -> tuple[bool, float] | None:
+    """How a bank's next ACT, at trace time ``t0``, issues.
+
+    ``(False, t0)``: the bank is idle and the ACT issues at its trace
+    time.  ``(True, seed)``: the bank is busy -- still in tRC after the
+    previous ACT (saturated) or still refreshing after an NRR (blocked)
+    -- and the ACT issues at ``seed = max(next_act, busy_until)``; every
+    later ACT of the run chains off tRC from there.  ``None``: neither,
+    and the scalar path decides.  These are the epsilon comparisons
+    ``DramBankModel.earliest_activate`` makes (``legal <= candidate +
+    1e-9``), so both regimes hold exactly while no REF falls at or
+    before the first issue time -- the callers' ``seed >= blocking``
+    check.
+    """
+    bank = bank_model.bank
+    next_act = bank._next_act_ns
+    busy = bank._busy_until_ns
+    clock = bank_model._clock_ns
+    if clock <= t0 and next_act <= t0 + 1e-9 and busy <= t0 + 1e-9:
+        return False, t0
+    seed = max(next_act, busy)
+    if seed > t0 + 1e-9 and seed > clock + 1e-9:
+        return True, seed
+    return None
 
 
 class _LaneEngine:
@@ -423,18 +453,21 @@ class _LaneEngine:
         Returns ``(consumed, table_bound, kernel_cut)``: ``table_bound``
         flags a zero-consumption *tracking* failure (the stream may be
         miss-heavy; the caller backs off), ``kernel_cut`` flags a commit
-        truncated by the kernel or the referee (the next event is
-        provably special; exactly one scalar replay clears it).  A flip
-        on the first event returns ``(0, False, True)``.
+        truncated by the kernel or the referee before an event that is
+        provably special (exactly one scalar replay clears it).  A flip
+        on the first event returns ``(0, False, True)``.  Directives
+        returned with the commit execute at its last ACT, which leaves
+        the bank blocked: the next attempt's first ACT waits for it in
+        the saturated regime (:func:`_issue_regime`).
         """
         bank = bank_model.bank
         trc = bank.timings.trc
         if trc <= 2e-9:
             return 0, False, False
-        next_act = bank._next_act_ns
-        busy = bank._busy_until_ns
-        clock = bank_model._clock_ns
-        t0 = float(times[0])
+        regime = _issue_regime(bank_model, float(times[0]))
+        if regime is None:
+            return 0, False, False
+        chained, seed = regime
 
         # First blocking event: a REF pop (pops when next_ref <= issue,
         # matching ``pop_due``'s `<=`) or the kernel's next scheme
@@ -447,8 +480,7 @@ class _LaneEngine:
             kernel.next_blocking_ns() - _WINDOW_MARGIN_NS,
         )
 
-        chained = False
-        if clock <= t0 and next_act <= t0 + 1e-9 and busy <= t0 + 1e-9:
+        if not chained:
             # Idle regime: every ACT issues at its trace time.  Needs
             # prev_time + trc legal (within epsilon) at each successor.
             # Times are sorted (``_check_addresses``), so searchsorted
@@ -462,21 +494,21 @@ class _LaneEngine:
                 extent = int(np.argmin(gaps_ok)) + 1
                 times = times[:extent]
             issue = times
-        elif busy <= next_act and next_act > t0 + 1e-9 and next_act > clock + 1e-9:
-            # Saturated regime: ACTs queue back-to-back, each issuing at
-            # prev_issue + trc.  The chain is the scalar loop's exact
-            # partial sums (cumsum accumulates left-to-right).
-            chained = True
-            if next_act >= blocking_ns:
+        else:
+            # Saturated regime: ACTs queue back-to-back, the first at
+            # the seed and each later one at prev_issue + trc.  The
+            # chain is the scalar loop's exact partial sums (cumsum
+            # accumulates left-to-right).
+            if seed >= blocking_ns:
                 return 0, False, False
-            # issue[k] ~= next_act + k*trc, so this bound overshoots the
+            # issue[k] ~= seed + k*trc, so this bound overshoots the
             # exact truncation below by at most a couple of elements.
             bound = min(
-                len(times), int((blocking_ns - next_act) / trc) + 2
+                len(times), int((blocking_ns - seed) / trc) + 2
             )
             times = times[:bound]
             seeded = np.full(len(times), trc, dtype=np.float64)
-            seeded[0] = next_act
+            seeded[0] = seed
             chain = np.cumsum(seeded)
             ok = chain > times + 1e-9
             if ok.all():
@@ -491,8 +523,6 @@ class _LaneEngine:
                 if extent == 0:
                     return 0, False, False
             issue = chain
-        else:
-            return 0, False, False
 
         # Fault referee: cut before the first ACT that would flip a bit,
         # so that ACT replays scalar (where the BitFlip is built).
@@ -513,7 +543,12 @@ class _LaneEngine:
         )
         if consumed == 0:
             return 0, True, False
-        kernel_cut = consumed < timing_extent
+        # A kernel that stops *after* an ACT emitting directives (MRLoc)
+        # leaves an ordinary event next; stopping before an event, or
+        # the referee's cut, leaves a special one.
+        kernel_cut = consumed < timing_extent and (
+            not directives or consumed == extent
+        )
         extent = consumed
 
         # ---- Commit the batch ----------------------------------------
@@ -966,24 +1001,10 @@ class FastMemoryController:
             first_block = min(
                 blocking_ns, first_model.refresh_engine.next_time_ns
             )
-        fb = first_model.bank
-        if (
-            first_model._clock_ns <= first_t0
-            and fb._next_act_ns <= first_t0 + 1e-9
-            and fb._busy_until_ns <= first_t0 + 1e-9
-        ):
-            if first_t0 >= first_block:
-                return 0, False, False
-        elif (
-            fb._busy_until_ns <= fb._next_act_ns
-            and fb._next_act_ns > first_t0 + 1e-9
-            and fb._next_act_ns > first_model._clock_ns + 1e-9
-        ):
-            if fb._next_act_ns >= first_block:
-                return 0, False, False
-        else:
-            # Neither regime matches the first event's bank: the loop
-            # below would cut it at position 0 regardless.
+        # Neither regime matching the first event's bank, or its first
+        # issue time reaching the boundary, cuts at position 0.
+        regime = _issue_regime(first_model, first_t0)
+        if regime is None or regime[1] >= first_block:
             return 0, False, False
         uniq_banks = np.unique(banks)
         models: dict[int, Any] = {}
@@ -1012,10 +1033,7 @@ class FastMemoryController:
             bank = model.bank
             trc = bank.timings.trc
             bank_times = times[positions]
-            t0 = float(bank_times[0])
-            next_act = bank._next_act_ns
-            busy = bank._busy_until_ns
-            clock = model._clock_ns
+            regime = _issue_regime(model, float(bank_times[0]))
             bank_block = blocking_ns
             if ref_transparent:
                 # This bank's own REF boundary; other banks' lanes run
@@ -1024,7 +1042,9 @@ class FastMemoryController:
                 bank_block = min(
                     blocking_ns, model.refresh_engine.next_time_ns
                 )
-            if clock <= t0 and next_act <= t0 + 1e-9 and busy <= t0 + 1e-9:
+            if regime is None:
+                cut = min(cut, int(positions[0]))
+            elif not regime[0]:
                 # Idle regime: this bank's ACTs issue at trace time.
                 ref_cut = int(
                     np.searchsorted(bank_times, bank_block, side="left")
@@ -1037,17 +1057,14 @@ class FastMemoryController:
                 if not gaps_ok.all():
                     bad = int(np.argmin(gaps_ok)) + 1
                     cut = min(cut, int(positions[bad]))
-            elif (
-                busy <= next_act
-                and next_act > t0 + 1e-9
-                and next_act > clock + 1e-9
-            ):
+            else:
                 # Saturated regime: this bank's ACTs chain off tRC.
-                if next_act >= bank_block:
+                seed = regime[1]
+                if seed >= bank_block:
                     cut = min(cut, int(positions[0]))
                     continue
                 seeded = np.full(len(bank_times), trc, dtype=np.float64)
-                seeded[0] = next_act
+                seeded[0] = seed
                 chain = np.cumsum(seeded)
                 ok = chain > bank_times + 1e-9
                 if not ok.all():
@@ -1059,8 +1076,6 @@ class FastMemoryController:
                     )
                 issue[positions] = chain
                 chained.append(b)
-            else:
-                cut = min(cut, int(positions[0]))
             if cut == 0:
                 return 0, False, False
         extent = cut

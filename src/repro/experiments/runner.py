@@ -136,9 +136,15 @@ def _resolve(path: str) -> Callable[..., Any]:
     return fn
 
 
-def _execute(job: Job) -> Any:
-    """Worker entry point: run one job (also used on the serial path)."""
-    return _resolve(job.fn)(**job.kwargs)
+def _execute(job: Job) -> tuple[Any, float]:
+    """Worker entry point: run one job (also used on the serial path).
+
+    Returns the result and the job's own run time in seconds, measured
+    where it runs, so time a parallel job spends queued for a worker is
+    not counted."""
+    started = time.perf_counter()
+    result = _resolve(job.fn)(**job.kwargs)
+    return result, time.perf_counter() - started
 
 
 def _execute_traced(
@@ -146,7 +152,7 @@ def _execute_traced(
     sample_interval_ns: float | None,
     max_events: int | None,
     per_act: bool = True,
-) -> tuple[Any, dict[str, Any]]:
+) -> tuple[Any, float, dict[str, Any]]:
     """Run one job inside a fresh telemetry session.
 
     Used whenever the *parent* has telemetry active: the job gets its
@@ -156,7 +162,8 @@ def _execute_traced(
     wrapper runs on the serial path so serial and parallel executions
     produce identical event streams.  ``per_act`` carries the parent
     bus's level, so a ``metrics`` parent gets ``metrics`` job buses
-    (and fast-engine jobs keep the fast engine).
+    (and fast-engine jobs keep the fast engine).  Returns the result,
+    the job's run time (see :func:`_execute`) and the bus state.
     """
     from ..telemetry.runtime import TelemetryBus, session
     from ..telemetry.sampler import TimeSeriesSampler
@@ -166,8 +173,8 @@ def _execute_traced(
     )
     bus = TelemetryBus(sampler=sampler, max_events=max_events, events=per_act)
     with session(bus):
-        result = _execute(job)
-    return result, bus.export_state()
+        result, seconds = _execute(job)
+    return result, seconds, bus.export_state()
 
 
 # ----------------------------------------------------------------------
@@ -402,17 +409,17 @@ class ExperimentRunner:
             )
         else:
             for index in pending:
-                job_started = time.perf_counter()
                 if bus is not None:
-                    results[index], states[index] = _execute_traced(
+                    (
+                        results[index], elapsed[index], states[index]
+                    ) = _execute_traced(
                         batch[index],
                         self.sample_interval_ns,
                         self.max_events_per_job,
                         bus.per_act,
                     )
                 else:
-                    results[index] = _execute(batch[index])
-                elapsed[index] = time.perf_counter() - job_started
+                    results[index], elapsed[index] = _execute(batch[index])
                 self._emit(
                     index, total, batch[index],
                     f"computed in {elapsed[index]:.2f}s",
@@ -457,7 +464,9 @@ class ExperimentRunner:
         bus: _telemetry.TelemetryBus | None = None,
     ) -> None:
         """Fan ``pending`` out to worker processes; with ``bus`` (the
-        parent's), each job runs traced at the parent bus's level."""
+        parent's), each job runs traced at the parent bus's level.
+        Each job's seconds are timed in its worker, so they exclude the
+        time it waited in the pool's queue."""
         workers = min(self.jobs, len(pending))
         traced = bus is not None
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -469,26 +478,25 @@ class ExperimentRunner:
                         self.sample_interval_ns,
                         self.max_events_per_job,
                         bus.per_act,
-                    ): (index, time.perf_counter())
+                    ): index
                     for index in pending
                 }
             else:
                 futures = {
-                    pool.submit(_execute, batch[index]): (
-                        index, time.perf_counter(),
-                    )
+                    pool.submit(_execute, batch[index]): index
                     for index in pending
                 }
             remaining = set(futures)
             while remaining:
                 done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                 for future in done:
-                    index, job_started = futures[future]
+                    index = futures[future]
                     if traced:
-                        results[index], states[index] = future.result()
+                        (
+                            results[index], elapsed[index], states[index]
+                        ) = future.result()
                     else:
-                        results[index] = future.result()
-                    elapsed[index] = time.perf_counter() - job_started
+                        results[index], elapsed[index] = future.result()
                     self._emit(
                         index, total, batch[index],
                         f"computed in {elapsed[index]:.2f}s",
@@ -623,12 +631,15 @@ def using_runner(runner: ExperimentRunner) -> Iterator[ExperimentRunner]:
 # ----------------------------------------------------------------------
 
 
-#: The last trace :func:`_build_trace` generated, as ``(key, trace)``:
-#: one slot, because :func:`~repro.experiments.common.matrix_jobs` lists
-#: every scheme of a workload back to back.  Emptied at the start and
-#: end of every :meth:`ExperimentRunner.run` batch; parallel workers
-#: are started per batch, so no trace outlives its batch.
+#: The last traces :func:`_build_trace` used, as ``(key, trace)`` pairs,
+#: most recent first.  Two slots: :func:`~repro.experiments.common.matrix_jobs`
+#: lists every scheme of a workload back to back, and the capability
+#: matrix alternates each scheme's attack and benign cells.  Emptied at
+#: the start and end of every :meth:`ExperimentRunner.run` batch;
+#: parallel workers are started per batch, so no trace outlives its
+#: batch.
 _trace_memo: list[tuple[tuple, Any]] = []
+_TRACE_MEMO_SLOTS = 2
 
 
 def _build_trace(
@@ -640,14 +651,16 @@ def _build_trace(
     rows_per_bank: int,
 ):
     """The read-only :class:`~repro.workloads.columnar.TraceArray` a
-    trace spec describes, memoized for the next cell of the same row."""
+    trace spec describes, memoized for the next cells that use it."""
     label = trace.get("label", workload)
     key = (
         tuple(sorted(trace.items())), label, duration_ns, seed, timings,
         rows_per_bank,
     )
-    if _trace_memo and _trace_memo[0][0] == key:
-        return _trace_memo[0][1]
+    for slot, (memo_key, memo_trace) in enumerate(_trace_memo):
+        if memo_key == key:
+            _trace_memo.insert(0, _trace_memo.pop(slot))
+            return memo_trace
     kind = trace["kind"]
     if kind == "realistic":
         from ..workloads.spec_like import REALISTIC_PROFILES, profile_array
@@ -676,7 +689,7 @@ def _build_trace(
         raise ValueError(f"unknown trace kind {kind!r}")
     for column in (built.time_ns, built.bank, built.row):
         column.flags.writeable = False
-    _trace_memo[:] = [(key, built)]
+    _trace_memo[:] = [(key, built)] + _trace_memo[: _TRACE_MEMO_SLOTS - 1]
     return built
 
 

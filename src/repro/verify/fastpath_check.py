@@ -16,13 +16,15 @@ scheme and compares everything observable:
 * each bank's final tracking-table state (Misra-Gries table, TWiCe
   entry table, CBT leaf partition, PARA generator state, PRoHIT's
   hot/cold tables and generator state, CRA's counter cache and backing
-  table, refresh-rate pointer, the unprotected baseline's ACT count --
+  table, MRLoc's history queue, generator state and hit/miss counts,
+  refresh-rate pointer, the unprotected baseline's ACT count --
   see :func:`repro.core.fast_kernels.reference_state`);
 * for the ``/metrics`` stack, the registry snapshot against the
   reference run under its own ``metrics`` bus (``fastpath.*`` keys
   aside), and that neither bus retained a per-ACT event.
 
-PARA and PRoHIT are probabilistic but the comparison is still exact:
+PARA, PRoHIT and MRLoc are probabilistic but the comparison is still
+exact:
 both stacks build their engines from the same seeded factory, and the
 kernel contract includes leaving the generator in the bit-identical
 state the scalar loop would.  Any mismatch is a ``divergence`` violation,
@@ -60,14 +62,15 @@ _PACE_INTERVAL_NS = 45.0
 #: differentially checked once per entry.  ABACuS declares the
 #: ``cross_bank`` capability, so both of its fast stacks run on the
 #: vectorized cross-bank lane -- ``commit_run_banked`` over interleaved
-#: multi-bank segments.  PARA and PRoHIT carry RNG state, so their
-#: generator positions are compared too.  The unprotected ``none`` is
-#: the entry whose hammering streams actually flip bits, so it is what
-#: checks the batched fault referee against the reference.  MRLoc and
-#: the oracle have no kernel and are not listed.
+#: multi-bank segments.  PARA, PRoHIT and MRLoc carry RNG state, so
+#: their generator positions are compared too; MRLoc's kernel is also
+#: the one that returns directives from ``commit_run``.  The
+#: unprotected ``none`` is the entry whose hammering streams actually
+#: flip bits, so it is what checks the batched fault referee against
+#: the reference.  The oracle has no kernel and is not listed.
 KERNEL_SCHEMES = (
     "graphene", "para", "twice", "cbt", "refresh-rate", "comet", "abacus",
-    "none", "prohit", "cra",
+    "none", "prohit", "cra", "mrloc",
 )
 
 

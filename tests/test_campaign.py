@@ -433,7 +433,16 @@ class TestReport:
             tmp_path / "once"
         )
 
-    def test_report_lists_fast_path_fallbacks_per_cell(self, tmp_path):
+    def test_report_lists_fast_path_fallbacks_per_cell(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core import fastpath
+        from repro.mitigations.mrloc import MRLoc
+
+        # MRLoc with its kernel unregistered stands in for a scheme
+        # that falls back to the reference loop.
+        fastpath.kernel_schemes()
+        monkeypatch.delitem(fastpath._KERNEL_REGISTRY, MRLoc)
         directory = tmp_path / "camp"
         spec = tiny_spec(
             engine="fast", schemes=["graphene", "mrloc"], workloads=["S3"]

@@ -26,7 +26,7 @@ from repro.core.fastpath import (
 )
 from repro.core.misra_gries import MisraGriesTable
 from repro.dram.timing import DDR4_2400
-from repro.mitigations import graphene_factory, mrloc_factory, para_factory
+from repro.mitigations import graphene_factory, oracle_factory, para_factory
 from repro.mitigations.graphene import GrapheneMitigation
 from repro.sim.simulator import build_device, simulate
 from repro.verify.differential import _mitigation_factory, core_subjects
@@ -278,21 +278,22 @@ class TestSimulateFastPath:
         assert fast.to_dict() == reference.to_dict()
 
     def test_fallback_for_schemes_without_kernel(self, caplog):
-        """MRLoc has no batched kernel: fast=True must transparently
-        use the reference loop, produce the same (seeded) results, and
-        warn that it fell back."""
+        """The oracle has no batched kernel: fast=True must
+        transparently use the reference loop, produce the same results,
+        and warn that it fell back."""
         import logging
 
         trace = _interleaved_trace(banks=1, acts_per_bank=1000)
-        make = lambda: mrloc_factory(0.02, seed=42)  # noqa: E731
-        kwargs = dict(scheme="mrloc", workload="hammer", banks=1,
+        make = lambda: oracle_factory(200)  # noqa: E731
+        kwargs = dict(scheme="oracle", workload="hammer", banks=1,
                       track_faults=False)
         reference = simulate(trace, make(), fast=False, **kwargs)
         with caplog.at_level(logging.WARNING, logger="repro.sim"):
             fast = simulate(trace, make(), fast=True, **kwargs)
         assert fast.to_dict() == reference.to_dict()
+        assert reference.victim_rows_refreshed > 0
         assert any(
-            "falling back" in record.message and "mrloc" in record.message
+            "falling back" in record.message and "oracle" in record.message
             for record in caplog.records
         ), "silent fallback: no warning logged"
 
@@ -330,14 +331,14 @@ class TestSimulateFastPath:
         kwargs = dict(workload="hammer", banks=1, track_faults=False)
         cases = [
             ("graphene", graphene_factory(GrapheneConfig())),
-            ("mrloc", mrloc_factory(0.02, seed=42)),
+            ("oracle", oracle_factory(200)),
         ]
         bus = TelemetryBus(events=per_act)
         with session(bus):
             for scheme, factory in cases:
                 simulate(trace, factory, scheme=scheme, fast=True, **kwargs)
         fallbacks = [e for e in bus.events if isinstance(e, FastPathFallback)]
-        expected = ["graphene", "mrloc"] if per_act else ["mrloc"]
+        expected = ["graphene", "oracle"] if per_act else ["oracle"]
         assert [e.scheme for e in fallbacks] == expected
         assert all(e.workload == "hammer" for e in fallbacks)
         reason = "events-level telemetry bus" if per_act else (
@@ -463,10 +464,10 @@ class TestFastControllerConstruction:
         registry scheme builds."""
         device = build_device(banks=1, track_faults=False)
         controller, reason = build_fast_controller_ex(
-            device, mrloc_factory(0.02)
+            device, oracle_factory(200)
         )
         assert controller is None
-        assert "mrloc" in reason and "kernel" in reason
+        assert "oracle" in reason and "kernel" in reason
         assert build_fast_controller(device, para_factory(0.01)) is not None
 
     def test_kernel_registry_covers_advertised_schemes(self):
@@ -739,6 +740,62 @@ class TestBatchedReferee:
         )
 
 
+class TestBlockedBankRegime:
+    """A bank still refreshing after an NRR is a saturated-regime start:
+    its next ACT issues at ``busy_until`` and vector-commits."""
+
+    @pytest.mark.parametrize("track_faults", [False, True])
+    def test_first_act_after_an_nrr_vector_commits(
+        self, track_faults, monkeypatch
+    ):
+        """PARA at p = 0.5 on S3 issues an NRR every few ACTs.  Both
+        engines agree byte for byte, and the blocked regime replays
+        fewer ACTs scalar than the same run that only starts a chain
+        on a bank past its NRR."""
+        from repro.core import fastpath
+        from repro.workloads.synthetic import s3_rows, synthetic_array
+
+        trace = synthetic_array(s3_rows(target=500), duration_ns=2e5)
+        kwargs = dict(
+            scheme="para", workload="S3", banks=1, hammer_threshold=2000,
+            track_faults=track_faults,
+        )
+        reference = simulate(trace, para_factory(0.5, seed=3), **kwargs)
+        assert reference.victim_refresh_directives > 50
+        steps = []
+        original_step = fastpath._LaneEngine._scalar_step
+
+        def counted(self, *args):
+            steps.append(args[2])
+            return original_step(self, *args)
+
+        monkeypatch.setattr(fastpath._LaneEngine, "_scalar_step", counted)
+
+        def scalar_replays():
+            steps.clear()
+            fast = simulate(
+                trace, para_factory(0.5, seed=3), fast=True, **kwargs
+            )
+            assert fast.to_dict() == reference.to_dict()
+            return len(steps)
+
+        blocked = scalar_replays()
+        original_regime = fastpath._issue_regime
+
+        def without_blocked(bank_model, t0):
+            bank = bank_model.bank
+            if bank._busy_until_ns > bank._next_act_ns:
+                return None
+            return original_regime(bank_model, t0)
+
+        monkeypatch.setattr(fastpath, "_issue_regime", without_blocked)
+        unblocked = scalar_replays()
+        # PARA's RNG hits replay scalar either way; without the blocked
+        # regime an NRR also costs the next ACT a failed vector attempt
+        # and a scalar replay.
+        assert blocked < unblocked
+
+
 #: The per-ACT event types; only an ``events``-level bus receives them.
 _PER_ACT_EVENTS = {
     "TableInsert", "TableEvict", "SpilloverBump", "NrrEmit", "WindowReset",
@@ -806,10 +863,21 @@ def _fastpath_label(counters) -> str:
     return label
 
 
+@pytest.fixture
+def mrloc_without_kernel(monkeypatch):
+    """MRLoc with its kernel unregistered: a capability-matrix scheme
+    that falls back to the reference loop."""
+    from repro.core import fastpath
+    from repro.mitigations.mrloc import MRLoc
+
+    kernel_schemes()  # load the built-in registrations first
+    monkeypatch.delitem(fastpath._KERNEL_REGISTRY, MRLoc)
+
+
 class TestRunnerFallbackNotes:
     """`experiment --fast` job summaries name silent fallbacks."""
 
-    def test_fast_job_without_kernel_gets_note(self):
+    def test_fast_job_without_kernel_gets_note(self, mrloc_without_kernel):
         from repro.experiments.runner import ExperimentRunner, sim_job
 
         job = sim_job(
@@ -836,7 +904,7 @@ class TestRunnerFallbackNotes:
         )
         assert ExperimentRunner._job_note(job) == ""
 
-    def test_reference_job_gets_no_note(self):
+    def test_reference_job_gets_no_note(self, mrloc_without_kernel):
         from repro.experiments.runner import ExperimentRunner, sim_job
 
         job = sim_job(

@@ -41,6 +41,14 @@ def count_call(counter_path: str, value: int = 7, **_knobs) -> int:
     return value
 
 
+def sleep_for(seconds: float, **_knobs) -> float:
+    """Job target that takes ``seconds`` of wall time."""
+    import time
+
+    time.sleep(seconds)
+    return seconds
+
+
 def bus_level(**_knobs) -> str:
     """Job target: the level of the telemetry bus the job runs under."""
     from repro.telemetry import runtime
@@ -218,6 +226,28 @@ class TestRunner:
         runner.run([])
         assert "0 jobs" in runner.stats.summary()
 
+    def test_parallel_job_seconds_exclude_queue_wait(self):
+        """Under ``jobs=2`` each job is timed in its worker: the job
+        seconds sum to at most workers x wall, although every job is
+        submitted at once and most wait for a free worker."""
+        seen = {}
+        runner = ExperimentRunner(
+            jobs=2,
+            on_progress=lambda index, job, result, seconds, source: (
+                seen.__setitem__(index, seconds)
+            ),
+        )
+        batch = [
+            Job(fn="tests.test_runner_cache:sleep_for",
+                kwargs={"seconds": 0.1, "index": i})
+            for i in range(8)
+        ]
+        runner.run(batch)
+        seconds = [record.seconds for record in runner.stats.records]
+        assert all(s >= 0.1 for s in seconds)
+        assert sum(seconds) <= 2 * runner.stats.wall_seconds
+        assert [seen[i] for i in range(8)] == seconds
+
 
 SIM_SPEC = dict(
     trace={"kind": "synthetic", "label": "S3"},
@@ -378,6 +408,40 @@ class TestTraceMemo:
         assert runner_module._trace_memo == []
         runner.run(self._batch())
         assert len(calls) == 4
+
+    def test_capability_matrix_builds_two_traces(self, monkeypatch):
+        """The matrix alternates each scheme's attack and benign cells;
+        the memo's two slots make that two builds per batch."""
+        from repro.experiments import capability_matrix
+
+        calls = self._count_generators(monkeypatch)
+        with using_engine("fast"):
+            capability_matrix.run(duration_ns=2e5)
+        assert sorted(calls) == ["profile_array", "synthetic_array"]
+
+    def test_fig8_builds_one_trace_per_row(self, monkeypatch):
+        calls = self._count_generators(monkeypatch)
+        with using_engine("fast"):
+            fig8.run(duration_ns=2e5, realistic=("omnetpp", "mcf"),
+                     adversarial=("S3",))
+        assert calls == ["profile_array", "profile_array", "synthetic_array"]
+
+    def test_memo_keeps_the_two_most_recent_traces(self):
+        specs = [
+            ({"kind": "synthetic", "label": label}, label, 1e5, 42,
+             DDR4_2400, 65536)
+            for label in ("S1-10", "S3", "S4")
+        ]
+        try:
+            first, second, third = (
+                runner_module._build_trace(*spec) for spec in specs
+            )
+            assert runner_module._build_trace(*specs[1]) is second
+            assert runner_module._build_trace(*specs[2]) is third
+            assert runner_module._build_trace(*specs[0]) is not first
+            assert len(runner_module._trace_memo) == 2
+        finally:
+            runner_module._trace_memo.clear()
 
     def test_memoized_columns_are_read_only(self):
         spec = ({"kind": "synthetic", "label": "S3"}, "S3", 1e5, 42,
