@@ -77,8 +77,7 @@ at a time.  The per-scheme batching arguments:
   uniform-bank groups, an era-skip scan otherwise.  Either way the
   batch truncates before the first event whose increment would land
   the RAC on a trigger multiple, and before any miss
-  (insert/evict/spillover replay scalar).  ABACuS also declares
-  ``ref_transparent``: REF ticks never touch its tracking state, so
+  (insert/evict/spillover replay scalar).  ABACuS is REF-free, so
   the banked lane cuts each bank's events at that bank's *own* next
   auto-refresh instead of the earliest one across banks.
 
@@ -115,6 +114,12 @@ at a time.  The per-scheme batching arguments:
   before it, which would need the queue and generator rewound, the
   batch stops right *after* the first ACT that emits directives and
   returns them anchored at that ACT.
+
+Every kernel is **REF-free** (``ref_free``) exactly when its engine's
+type keeps :class:`~repro.mitigations.base.MitigationEngine`'s no-op REF
+hook -- all but TWiCe, PRoHIT and refresh-rate.  The controller then
+applies that bank's REF ticks as bank arithmetic, in bulk, without
+calling ``on_refresh_command``.
 
 ``reference_state(engine)`` produces the comparable table snapshot for
 any kernel-covered scheme; the differential subject
@@ -173,6 +178,15 @@ class _WrappedKernel:
         self.mitigation = mitigation
         self.name = mitigation.name
         self.stats = mitigation.stats
+        #: REF-free: the engine's type keeps the base class's REF hook,
+        #: which returns no directives and touches no state.
+        engine_type = type(mitigation)
+        self.ref_free = (
+            engine_type.on_refresh_command
+            is MitigationEngine.on_refresh_command
+            and engine_type._process_refresh_command
+            is MitigationEngine._process_refresh_command
+        )
 
     def on_activate(self, row: int, time_ns: float) -> list[RefreshDirective]:
         return self.mitigation.on_activate(row, time_ns)
@@ -529,6 +543,13 @@ class FastCraKernel(_WrappedKernel):
         return extent, []
 
 
+def _bounded_rows(rows: np.ndarray, piece: int = 64):
+    """``rows`` as Python ints, converted ``piece`` at a time, for a
+    loop that usually stops long before the end of its slice."""
+    for start in range(0, len(rows), piece):
+        yield from rows[start:start + piece].tolist()
+
+
 class FastMrlocKernel(_WrappedKernel):
     """MRLoc's history queue, walked in one call per run.
 
@@ -559,7 +580,7 @@ class FastMrlocKernel(_WrappedKernel):
         tables = self._hit_tables
         hits = misses = consumed = 0
         directives: list[RefreshDirective] = []
-        for row in rows.tolist():
+        for row in _bounded_rows(rows):
             consumed += 1
             for victim in (row - 1, row + 1):
                 if not 0 <= victim < size:
@@ -862,13 +883,6 @@ class FastAbacusKernel(_WrappedKernel):
     """
 
     cross_bank = True
-
-    #: REF ticks never touch ABACuS tracking state (no
-    #: ``_process_refresh_command`` override), so the banked lane may
-    #: cut each bank's lane at that bank's *own* next auto-refresh
-    #: instead of the earliest REF across all banks -- the tick is
-    #: forwarded by the cut event's scalar replay, as in per-bank lanes.
-    ref_transparent = True
 
     def __init__(self, mitigation: AbacusMitigation) -> None:
         super().__init__(mitigation)
