@@ -32,6 +32,17 @@ class TestBankTiming:
         assert done == pytest.approx(DDR4_2400.trfc)
         assert bank.earliest_activate(0.0) == pytest.approx(DDR4_2400.trfc)
 
+    def test_auto_refresh_closes_row_and_queues_behind_busy(self):
+        bank = self.make()
+        bank.activate(5, 0.0)
+        bank.auto_refresh(100.0)
+        done = bank.auto_refresh(110.0)
+        trfc = DDR4_2400.trfc
+        assert done == (100.0 + trfc) + trfc
+        assert bank.open_row is None
+        assert bank.stats.auto_refreshes == 2
+        assert bank.stats.refresh_busy_ns == (0.0 + trfc) + trfc
+
     def test_nrr_blocks_for_rows_times_trc_plus_trp(self):
         bank = self.make()
         done = bank.nearby_row_refresh(4, 100.0)
